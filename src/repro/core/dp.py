@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
-from .instances import Series
+from .instances import Series, window_end
 
 
 def _window_timestamps(series: Sequence[Series], lo: float, hi: float) -> list[float]:
@@ -87,5 +87,5 @@ def max_flow(series: Sequence[Series], delta: float) -> float:
     """
     best = 0.0
     for a in series[0].ts:
-        best = max(best, max_flow_window(series, a, a + delta))
+        best = max(best, max_flow_window(series, a, window_end(a, delta)))
     return best

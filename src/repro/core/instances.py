@@ -20,6 +20,7 @@ proves the output equals the definition-direct brute force.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -67,6 +68,26 @@ class Series:
     def last_at_or_before(self, t: float) -> int:
         """Index of the last element with timestamp <= t, or -1."""
         return bisect_right(self.ts, t) - 1
+
+
+def window_end(a: float, delta: float) -> float:
+    """The largest float ``t`` with ``t - a <= delta``: where the window of
+    duration ``delta`` anchored at ``a`` ends, inclusive.
+
+    Definition 3.2 bounds an instance's duration as ``t_end - t_start <=
+    delta``, and the maximality check, the brute force and the join
+    baseline test it in that form. The float ``a + delta`` can round past
+    that bound (a=0.1, delta=0.2: t=0.30000000000000004 is <= a + delta yet
+    t - a > delta) or short of it, so it is only the first guess. ``t - a``
+    is monotone in ``t``, hence ``t <= window_end(a, delta)`` exactly when
+    ``t - a <= delta``, and the correction is a step or two.
+    """
+    hi = a + delta
+    while hi - a > delta:
+        hi = math.nextafter(hi, -math.inf)
+    while (up := math.nextafter(hi, math.inf)) > hi and up - a <= delta:
+        hi = up
+    return hi
 
 
 Ranges = tuple[tuple[int, int], ...]  # per motif edge: (start, end) inclusive
@@ -206,9 +227,9 @@ def enumerate_instances(
     first = series[0]
     results: dict[Ranges, Instance] = {}
     for k in range(len(first)):
-        a = first.ts[k]
         candidates: list[Ranges] = []
-        _find_instances(series, 0, k, a + delta, get_phi, candidates, ())
+        hi = window_end(first.ts[k], delta)
+        _find_instances(series, 0, k, hi, get_phi, candidates, ())
         for ranges in candidates:
             if ranges in results:
                 continue

@@ -14,12 +14,12 @@ from itertools import count
 from typing import Iterable, Sequence
 
 from .instances import (
-    Instance,
     Ranges,
     Series,
     _find_instances,
     instance_flow,
     is_maximal,
+    window_end,
 )
 
 
@@ -73,9 +73,9 @@ def topk_scan_match(
     first = series[0]
     seen: set[Ranges] = set()
     for k in range(len(first)):
-        a = first.ts[k]
         candidates: list[Ranges] = []
-        _find_instances(series, 0, k, a + delta, heap.threshold, candidates, ())
+        hi = window_end(first.ts[k], delta)
+        _find_instances(series, 0, k, hi, heap.threshold, candidates, ())
         for ranges in candidates:
             if ranges in seen:
                 continue
@@ -96,23 +96,3 @@ def topk_flows(
     for series in matches_series:
         topk_scan_match(series, delta, heap)
     return heap.flows()
-
-
-def topk_instances_match(
-    series: Sequence[Series], delta: float, k: int
-) -> list[tuple[float, Instance]]:
-    """Top-k (flow, Instance) of a single structural match, best first."""
-    heap = TopKHeap(k)
-    topk_scan_match(series, delta, heap)
-    return [
-        (
-            f,
-            Instance(
-                ranges=r,
-                flow=f,
-                t_start=series[0].ts[r[0][0]],
-                t_end=series[-1].ts[r[-1][1]],
-            ),
-        )
-        for f, r in heap.items()
-    ]

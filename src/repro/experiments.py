@@ -117,7 +117,7 @@ def table4(
     for kind in DATASETS:
         edges = load(spark, kind, sf=sf, seed=seed)
         for name in motifs:
-            n, secs = sp.phase1_count_and_time(spark, edges, MOTIFS[name])
+            n, secs = sp.phase1_count_and_time(edges, MOTIFS[name])
             p_n, p_t = PAPER_TABLE4[kind][name]
             rows.append(
                 dict(dataset=kind, motif=name, matches=n, p1_seconds=round(secs, 3),

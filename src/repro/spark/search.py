@@ -1,15 +1,18 @@
 """The distributed two-phase flow-motif search (the paper's § 4 + § 5).
 
-Pipeline (all DataFrame-level until the per-match kernel):
+One plan per query, all DataFrame-level until the per-match kernel:
 
-1. **P1** — ``structural_matches_df``: Catalyst shuffle-join plan over the
-   distinct-pair table.
-2. **Attach series** — one join per motif edge against the time-series
-   graph, producing a wide row per structural match carrying the aligned
-   ``ts``/``fs`` arrays of every motif edge.
-3. **P2** — ``mapInPandas`` runs the pure-Python per-match kernel
+1. **G_T** — ``timeseries_graph``: one row per connected pair carrying its
+   interaction series ``ts``/``fs`` (Figure 5).
+2. **P1** — ``structural_matches_df`` over G_T: the self-join chain along
+   the spanning path, so each match row already carries the series of every
+   motif edge. Given delta, each join also drops (partial) matches whose
+   consecutive motif edges have no time-ordered pair of interactions within
+   delta (DESIGN.md § 2.1); such matches hold no instance.
+3. **P2** — one ``mapInPandas`` driver runs the pure-Python per-match kernel
    (Algorithm 1, the top-k heap, or the Algorithm 2 DP) on executor-side
-   Arrow batches; instances come back as a DataFrame.
+   Arrow batches; counts, top-k flows and max flows come back as per-batch
+   aggregates, instances as rows.
 
 The per-match kernel is inherently sequential/recursive, which is why P2 is
 a DataFrame -> DataFrame transformation over grouped data rather than a
@@ -18,10 +21,11 @@ plain Catalyst plan.
 """
 from __future__ import annotations
 
-from typing import Iterator
+import time
+from typing import Callable, Iterable, Iterator
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
     DoubleType,
@@ -35,42 +39,27 @@ from pyspark.sql.types import (
 from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
-from repro.core.topk import topk_instances_match
+from repro.core.topk import TopKHeap, topk_scan_match
 from repro.spark.graph import distinct_pairs, timeseries_graph
 from repro.spark.structural import node_columns, structural_matches_df
 
+#: One P2 input: a match row (column name -> value) and its per-edge series.
+_Match = tuple[dict, list[Series]]
 
-def matches_with_series(edges: DataFrame, motif: Motif) -> DataFrame:
-    """P1 matches joined with the interaction series of every motif edge.
+_FLOW_SCHEMA = StructType([StructField("flow", DoubleType())])
+
+
+def matches_with_series(
+    edges: DataFrame, motif: Motif, delta: float | None = None
+) -> DataFrame:
+    """P1 over G_T: structural matches with every motif edge's series.
 
     Output columns: ``v0..v{n-1}``, then ``ts{i}``/``fs{i}`` for each motif
-    edge i. Each join is 1:1 (one series per connected pair), so the row
-    count equals the structural match count.
+    edge i. Without ``delta`` there is one row per structural match; with
+    it, matches that cannot hold an instance of duration <= delta are
+    pruned in the join chain.
     """
-    ts_graph = timeseries_graph(edges)
-    out = structural_matches_df(distinct_pairs(edges), motif)
-    for i, (a, b) in enumerate(motif.edges):
-        step = ts_graph.select(
-            F.col("src").alias(f"_a{i}"),
-            F.col("dst").alias(f"_b{i}"),
-            F.col("ts").alias(f"ts{i}"),
-            F.col("fs").alias(f"fs{i}"),
-        )
-        out = out.join(
-            step,
-            on=(F.col(f"v{a}") == F.col(f"_a{i}"))
-            & (F.col(f"v{b}") == F.col(f"_b{i}")),
-            how="inner",
-        ).drop(f"_a{i}", f"_b{i}")
-    return out
-
-
-def _row_series(row, m: int) -> list[Series]:
-    """Rebuild the per-edge Series list from a wide match row."""
-    return [
-        Series(zip(row[f"ts{i}"], row[f"fs{i}"]))
-        for i in range(m)
-    ]
+    return structural_matches_df(timeseries_graph(edges), motif, delta=delta)
 
 
 def _instances_schema(motif: Motif) -> StructType:
@@ -110,19 +99,32 @@ def _typed_frame(schema: StructType, rows: list[tuple]) -> pd.DataFrame:
     )
 
 
-def _repartitioned(df: DataFrame, parallelism: int | None) -> DataFrame:
-    if parallelism is None:
-        parallelism = df.sparkSession.sparkContext.defaultParallelism * 2
-    return df.repartition(parallelism)
+def _p2(
+    wide: DataFrame,
+    motif: Motif,
+    per_batch: Callable[[Iterator[_Match]], Iterable[tuple]],
+    schema: StructType,
+) -> DataFrame:
+    """The P2 driver: ``per_batch`` maps one Arrow batch's matches to rows.
+
+    ``wide`` is :func:`matches_with_series` output; each match reaches
+    ``per_batch`` as its row and its rebuilt per-edge :class:`Series` list.
+    """
+    m = motif.m
+
+    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            matches = (
+                (rd, [Series(zip(rd[f"ts{i}"], rd[f"fs{i}"])) for i in range(m)])
+                for rd in (row._asdict() for row in pdf.itertuples(index=False))
+            )
+            yield _typed_frame(schema, list(per_batch(matches)))
+
+    return wide.mapInPandas(kernel, schema=schema)
 
 
 def find_instances(
-    edges: DataFrame,
-    motif: Motif,
-    delta: float,
-    phi: float,
-    *,
-    parallelism: int | None = None,
+    edges: DataFrame, motif: Motif, delta: float, phi: float
 ) -> DataFrame:
     """All maximal instances of ``motif``: one row per instance.
 
@@ -131,110 +133,95 @@ def find_instances(
     and the per-edge index ranges serialized as a string (for exact
     comparison against the pure-Python reference in tests).
     """
-    wide = _repartitioned(matches_with_series(edges, motif), parallelism)
     vcols = node_columns(motif)
-    m = motif.m
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            rows: list[tuple] = []
-            for row in pdf.itertuples(index=False):
-                rd = row._asdict()
-                series = _row_series(rd, m)
-                for inst in enumerate_instances(series, delta, phi):
-                    windows = tuple(
-                        (float(r.ts[s]), float(r.ts[e]))
-                        for r, (s, e) in zip(series, inst.ranges)
-                    )
-                    rows.append(
-                        tuple(int(rd[c]) for c in vcols)
-                        + (
-                            float(inst.flow),
-                            float(inst.t_start),
-                            float(inst.t_end),
-                            int(sum(e - s + 1 for s, e in inst.ranges)),
-                            repr(inst.ranges),
-                            repr(windows),
-                        )
-                    )
-            yield _typed_frame(_instances_schema(motif), rows)
+    def per_batch(matches: Iterator[_Match]) -> Iterator[tuple]:
+        for rd, series in matches:
+            binding = tuple(int(rd[c]) for c in vcols)
+            for inst in enumerate_instances(series, delta, phi):
+                windows = tuple(
+                    (float(r.ts[s]), float(r.ts[e]))
+                    for r, (s, e) in zip(series, inst.ranges)
+                )
+                yield binding + (
+                    float(inst.flow),
+                    float(inst.t_start),
+                    float(inst.t_end),
+                    int(sum(e - s + 1 for s, e in inst.ranges)),
+                    repr(inst.ranges),
+                    repr(windows),
+                )
 
-    return wide.mapInPandas(kernel, schema=_instances_schema(motif))
+    return _p2(
+        matches_with_series(edges, motif, delta),
+        motif,
+        per_batch,
+        _instances_schema(motif),
+    )
 
 
 def count_instances(
-    edges: DataFrame, motif: Motif, delta: float, phi: float, **kw
+    edges: DataFrame, motif: Motif, delta: float, phi: float
 ) -> int:
     """Number of maximal instances in the graph (Figs. 9/10/13/14)."""
-    return find_instances(edges, motif, delta, phi, **kw).count()
+
+    def per_batch(matches: Iterator[_Match]) -> list[tuple]:
+        return [(sum(len(enumerate_instances(s, delta, phi)) for _, s in matches),)]
+
+    out = _p2(
+        matches_with_series(edges, motif, delta),
+        motif,
+        per_batch,
+        StructType([StructField("n", LongType())]),
+    )
+    return int(out.agg(F.sum("n")).collect()[0][0] or 0)
 
 
 def topk_flows(
-    edges: DataFrame,
-    motif: Motif,
-    delta: float,
-    k: int,
-    *,
-    parallelism: int | None = None,
+    edges: DataFrame, motif: Motif, delta: float, k: int
 ) -> list[float]:
     """Flows of the global top-k instances, best first (Fig. 11).
 
-    Each executor runs the floating-threshold heap per match (phi = 0 plus
-    the k-th-best-so-far prune of § 5), emitting at most k flows per match;
-    the global top-k is a Catalyst sort-limit over those candidates.
+    Each executor runs the floating-threshold heap of § 5 (phi = 0 plus the
+    k-th-best-so-far prune) over one batch of matches at a time, emitting
+    at most k flows per batch; the global top-k is a Catalyst sort-limit
+    over those candidates.
     """
-    wide = _repartitioned(matches_with_series(edges, motif), parallelism)
-    m = motif.m
-    schema = StructType([StructField("flow", DoubleType())])
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            flows: list[float] = []
-            for row in pdf.itertuples(index=False):
-                rd = row._asdict()
-                series = _row_series(rd, m)
-                flows.extend(
-                    f for f, _ in topk_instances_match(series, delta, k)
-                )
-            yield pd.DataFrame({"flow": pd.Series(flows, dtype="float64")})
+    def per_batch(matches: Iterator[_Match]) -> list[tuple]:
+        heap = TopKHeap(k)
+        for _, series in matches:
+            topk_scan_match(series, delta, heap)
+        return [(f,) for f in heap.flows()]
 
-    out = wide.mapInPandas(kernel, schema=schema)
+    out = _p2(
+        matches_with_series(edges, motif, delta),
+        motif,
+        per_batch,
+        _FLOW_SCHEMA,
+    )
     return [
         r.flow for r in out.orderBy(F.desc("flow")).limit(k).collect()
     ]
 
 
-def max_flow(
-    edges: DataFrame,
-    motif: Motif,
-    delta: float,
-    *,
-    parallelism: int | None = None,
-) -> float:
+def max_flow(edges: DataFrame, motif: Motif, delta: float) -> float:
     """Top-1 instance flow via the Algorithm 2 DP module (Fig. 12)."""
-    wide = _repartitioned(matches_with_series(edges, motif), parallelism)
-    m = motif.m
-    schema = StructType([StructField("flow", DoubleType())])
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            flows = []
-            for row in pdf.itertuples(index=False):
-                rd = row._asdict()
-                flows.append(dp_max_flow(_row_series(rd, m), delta))
-            yield pd.DataFrame({"flow": pd.Series(flows, dtype="float64")})
+    def per_batch(matches: Iterator[_Match]) -> list[tuple]:
+        return [(max((dp_max_flow(s, delta) for _, s in matches), default=0.0),)]
 
-    out = wide.mapInPandas(kernel, schema=schema)
-    row = out.agg(F.max("flow").alias("mf")).collect()[0]
-    return float(row.mf) if row.mf is not None else 0.0
+    out = _p2(
+        matches_with_series(edges, motif, delta),
+        motif,
+        per_batch,
+        _FLOW_SCHEMA,
+    )
+    return float(out.agg(F.max("flow")).collect()[0][0] or 0.0)
 
 
-def phase1_count_and_time(
-    spark: SparkSession, edges: DataFrame, motif: Motif
-) -> tuple[int, float]:
+def phase1_count_and_time(edges: DataFrame, motif: Motif) -> tuple[int, float]:
     """Table 4 helper: structural match count and wall-clock P1 seconds."""
-    import time
-
     t0 = time.perf_counter()
     n = structural_matches_df(distinct_pairs(edges), motif).count()
     return n, time.perf_counter() - t0

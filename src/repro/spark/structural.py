@@ -1,11 +1,14 @@
 """Phase P1, distributed: structural matching as a Catalyst join plan.
 
-The motif's spanning path is unrolled into a chain of self-joins over the
-distinct-pair edge table of G_T: one join per motif edge, plus equality
-predicates where the path revisits a bound node and pairwise inequality
-predicates enforcing the bijection of Definition 3.2 (distinct motif nodes
-map to distinct graph vertices). Broadcast joins are disabled session-wide
-(conftest), so this exercises Spark's shuffle-join path.
+The motif's spanning path is unrolled into a chain of self-joins over an
+edge table of G_T: one join per motif edge, whose condition carries the
+equality where the path revisits a bound node and the inequalities that
+enforce the bijection of Definition 3.2 (distinct motif nodes map to
+distinct graph vertices). Over the distinct-pair table this is Table 4's P1;
+over the time-series graph the same chain carries every motif edge's series
+for P2 and can prune matches that cannot fit in delta. Broadcast joins are
+disabled session-wide (conftest), so this exercises Spark's shuffle-join
+path.
 
 ``matches_sql`` emits the equivalent SQL text, which tests run on DuckDB via
 ``repro.oracle.assert_equivalent`` — the same plan checked by an independent
@@ -24,33 +27,65 @@ def node_columns(motif: Motif) -> list[str]:
     return [f"v{i}" for i in range(motif.n_nodes)]
 
 
-def structural_matches_df(pairs: DataFrame, motif: Motif) -> DataFrame:
-    """All structural matches of ``motif`` over the distinct-pair table.
+def structural_matches_df(
+    table: DataFrame, motif: Motif, *, delta: float | None = None
+) -> DataFrame:
+    """All structural matches of ``motif`` over a G_T edge table.
 
-    Returns one row per match with columns ``v0..v{n-1}`` — the graph
-    vertex bound to each motif node (canonical numbering).
+    ``table`` has ``src``/``dst`` plus any other columns, e.g. the
+    distinct-pair table (no others) or the time-series graph (``ts``/``fs``).
+    Returns one row per match: ``v0..v{n-1}`` — the graph vertex bound to
+    each motif node (canonical numbering) — then every other column ``c``
+    of ``table`` once per motif edge i, as ``c{i}``.
+
+    With ``delta``, the table must carry the sorted series ``ts``, and each
+    join along the path also requires some element x of ``ts{i}`` and y of
+    ``ts{i-1}`` with ``x > y`` and ``x - y <= delta``. Every instance's last
+    element of edge-set i-1 and first of edge-set i form such a pair
+    (DESIGN.md § 2.1), so this drops only matches, and partial matches,
+    that hold no instance.
     """
     path = motif.path
-    out = pairs.select(
-        F.col("src").alias(f"v{path[0]}"), F.col("dst").alias(f"v{path[1]}")
+    extra = [c for c in table.columns if c not in ("src", "dst")]
+
+    def step(i: int, src: str, dst: str) -> DataFrame:
+        return table.select(
+            F.col("src").alias(src),
+            F.col("dst").alias(dst),
+            *[F.col(c).alias(f"{c}{i}") for c in extra],
+        )
+
+    out = step(0, f"v{path[0]}", f"v{path[1]}").filter(
+        F.col(f"v{path[0]}") != F.col(f"v{path[1]}")
     )
-    bound = {path[0], path[1]}
+    bound = [path[0], path[1]]
     for i in range(1, motif.m):
         a, b = path[i], path[i + 1]
-        step = pairs.select(
-            F.col("src").alias("_sa"), F.col("dst").alias("_sb")
-        )
-        out = out.join(step, on=F.col(f"v{a}") == F.col("_sa"), how="inner")
+        cond = F.col(f"v{a}") == F.col("_sa")
         if b in bound:
-            out = out.filter(F.col("_sb") == F.col(f"v{b}"))
+            cond &= F.col("_sb") == F.col(f"v{b}")
         else:
-            out = out.withColumn(f"v{b}", F.col("_sb"))
-            bound.add(b)
-        out = out.drop("_sa", "_sb")
-    for i in range(motif.n_nodes):
-        for j in range(i + 1, motif.n_nodes):
-            out = out.filter(F.col(f"v{i}") != F.col(f"v{j}"))
-    return out.select(*node_columns(motif))
+            for v in bound:  # Definition 3.2's bijection
+                cond &= F.col("_sb") != F.col(f"v{v}")
+        if delta is not None:
+            prev = F.col(f"ts{i - 1}")
+            cond &= F.exists(
+                F.col(f"ts{i}"),
+                lambda x: F.exists(
+                    prev, lambda y: (x > y) & (x - y <= F.lit(float(delta)))
+                ),
+            )
+        out = out.join(step(i, "_sa", "_sb"), on=cond, how="inner")
+        if b in bound:
+            out = out.drop("_sb")
+        else:
+            out = out.withColumnRenamed("_sb", f"v{b}")
+            bound.append(b)
+        out = out.drop("_sa")
+    return out.select(
+        *node_columns(motif),
+        *[f"{c}{i}" for i in range(motif.m) for c in extra],
+    )
 
 
 def matches_sql(motif: Motif, table: str = "pairs") -> str:

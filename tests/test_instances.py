@@ -1,4 +1,6 @@
 """Unit tests for Series and Algorithm 1 (repro.core.instances)."""
+import math
+
 import pytest
 
 from repro.core.instances import (
@@ -8,6 +10,7 @@ from repro.core.instances import (
     instance_flow,
     is_maximal,
     is_valid,
+    window_end,
 )
 
 
@@ -31,6 +34,16 @@ class TestSeries:
         assert s.last_at_or_before(0) == -1
         assert s.last_at_or_before(3) == 1
         assert s.last_at_or_before(9) == 2
+
+    def test_window_end_is_definition_3_2s_bound(self):
+        # 0.30000000000000004 <= 0.1 + 0.2, yet 0.30000000000000004 - 0.1 > 0.2
+        hi = window_end(0.1, 0.2)
+        assert hi < 0.30000000000000004 <= 0.1 + 0.2
+        assert hi - 0.1 <= 0.2
+        assert window_end(1.0, 2.0) == 3.0
+        for a, delta in [(0.1, 0.2), (0.7, 0.1), (1e9 + 0.3, 600.0), (3.0, 0.0)]:
+            hi = window_end(a, delta)
+            assert hi - a <= delta < math.nextafter(hi, math.inf) - a
 
     def test_duplicate_timestamps_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,15 @@
 """Distributed two-phase pipeline vs the pure-Python reference, end-to-end."""
 import pytest
 
-from repro.core.motif import MOTIFS
+from repro.core import bruteforce
+from repro.core.dp import max_flow as dp_max_flow
+from repro.core.instances import Series, enumerate_instances
+from repro.core.motif import MOTIF_ORDER, MOTIFS
 from repro.core.search import count_graph, max_flow_graph, topk_graph
 from repro.spark import search as sp
+from repro.spark.graph import distinct_pairs
+from repro.spark.join_baseline import find_instances_join
+from repro.spark.structural import count_matches
 from tests.conftest import (
     py_instance_set,
     random_edges,
@@ -38,7 +44,7 @@ class TestFindInstances:
         )
         assert got == py_instance_set(edges, motif, delta, phi)
 
-    @pytest.mark.parametrize("name", ["M(4,3)", "M(4,4)A"])
+    @pytest.mark.parametrize("name", ["M(4,3)", "M(4,4)A", "M(4,4)B", "M(5,5)C"])
     def test_matches_python_reference_larger_motifs(self, spark, name):
         motif = MOTIFS[name]
         edges = random_edges(99, n_nodes=6, n_edges=45, t_max=30)
@@ -90,6 +96,53 @@ class TestFindInstances:
         assert large >= small
 
 
+class TestDeltaBoundary:
+    """Edges exactly at the duration bound, in Definition 3.2's arithmetic."""
+
+    def test_float_boundary_agrees_everywhere(self, spark):
+        # 0.30000000000000004 <= 0.1 + 0.2, yet 0.30000000000000004 - 0.1 > 0.2
+        series = [Series([(0.1, 1.0)]), Series([(0.30000000000000004, 1.0)])]
+        delta = 0.2
+        assert enumerate_instances(series, delta, 0.0) == []
+        assert bruteforce.maximal_instances(series, delta, 0.0) == set()
+        assert dp_max_flow(series, delta) == 0.0
+        edges = to_spark_edges(spark, [(0, 1, 0.1, 1.0), (1, 2, 0.30000000000000004, 1.0)])
+        motif = MOTIFS["M(3,2)"]
+        assert find_instances_join(edges, motif, delta, 0.0).count() == 0
+        assert sp.count_instances(edges, motif, delta, 0.0) == 0
+
+    @pytest.mark.parametrize(
+        "edges, kept",
+        [
+            # consecutive motif edges exactly delta apart
+            ([(0, 1, 10.0, 1.0), (1, 2, 20.0, 1.0)], True),
+            # equal timestamps: the order between motif edges is strict
+            ([(0, 1, 10.0, 1.0), (1, 2, 10.0, 1.0)], False),
+            # the only time-ordered pairs are > delta apart (25-10, 45-30);
+            # 25 follows 30 by 5 but in the wrong order
+            ([(0, 1, 10.0, 1.0), (0, 1, 30.0, 1.0), (1, 2, 25.0, 1.0), (1, 2, 45.0, 1.0)], False),
+        ],
+        ids=["exactly-delta", "equal-times", "ordered-pairs-too-far"],
+    )
+    def test_pruning(self, spark, edges, kept):
+        motif, delta = MOTIFS["M(3,2)"], 10.0
+        df = to_spark_edges(spark, edges)
+        assert sp.matches_with_series(df, motif).count() == 1
+        assert sp.matches_with_series(df, motif, delta).count() == int(kept)
+        got = spark_instance_set(sp.find_instances(df, motif, delta, 0.0), motif.n_nodes)
+        assert got == py_instance_set(edges, motif, delta, 0.0)
+        assert bool(got) == kept
+
+
+@pytest.mark.parametrize("name", MOTIF_ORDER)
+def test_unpruned_matches_are_structural_matches(passenger_small, name):
+    """Without delta every structural match reaches P2 (Table 4, Fig. 12)."""
+    motif = MOTIFS[name]
+    assert sp.matches_with_series(passenger_small, motif).count() == count_matches(
+        distinct_pairs(passenger_small), motif
+    )
+
+
 class TestTopK:
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("k", [1, 3, 10])
@@ -132,7 +185,7 @@ class TestMaxFlowDP:
 class TestPhase1Helper:
     def test_count_and_time(self, spark):
         n, secs = sp.phase1_count_and_time(
-            spark, to_spark_edges(spark, FIG2_EDGES), MOTIFS["M(3,3)"]
+            to_spark_edges(spark, FIG2_EDGES), MOTIFS["M(3,3)"]
         )
         assert n == 3
         assert secs > 0

@@ -12,7 +12,7 @@ from repro.core.search import (
     search_graph,
     topk_graph,
 )
-from repro.core.topk import TopKHeap, topk_flows, topk_instances_match, topk_scan_match
+from repro.core.topk import TopKHeap, topk_flows, topk_scan_match
 from tests.test_bruteforce_crosscheck import random_series
 
 
@@ -77,14 +77,6 @@ class TestTopKEqualsRankedEnumeration:
     def test_k_larger_than_result_count(self):
         series = [Series([(1, 2.0)]), Series([(2, 3.0)])]
         assert topk_flows([series], delta=5, k=10) == [2.0]
-
-    def test_topk_instances_match_payloads(self):
-        series = [Series([(1, 2.0), (3, 1.0)]), Series([(2, 5.0), (4, 5.0)])]
-        out = topk_instances_match(series, delta=10, k=2)
-        flows = [f for f, _ in out]
-        assert flows == sorted(flows, reverse=True)
-        for f, inst in out:
-            assert inst.flow == f
 
 
 class TestGraphLevelTopK:
