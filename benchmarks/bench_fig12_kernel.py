@@ -8,11 +8,10 @@ relative order differs from the paper at this scale.
 import pytest
 
 from repro.core.dp import max_flow as dp_max_flow
-from repro.core.instances import Series
 from repro.core.motif import MOTIFS
-from repro.core.topk import TopKHeap, topk_scan_match
+from repro.core.topk import topk_flows
 from repro.experiments import defaults
-from repro.spark.search import matches_with_series
+from repro.spark.search import match_series, matches_with_series
 
 pytestmark = pytest.mark.benchmark(group="fig12-kernel")
 
@@ -24,10 +23,7 @@ def collected(datasets):
     motif = MOTIFS["M(3,2)"]
     for kind, edges in datasets.items():
         rows = matches_with_series(edges, motif).collect()
-        out[kind] = [
-            [Series(zip(r[f"ts{i}"], r[f"fs{i}"])) for i in range(motif.m)]
-            for r in rows
-        ]
+        out[kind] = [match_series(r, motif.m) for r in rows]
     return out
 
 
@@ -37,10 +33,8 @@ def test_fig12_kernel_heap(benchmark, collected, kind):
     delta, _ = defaults(kind)
 
     def run():
-        heap = TopKHeap(1)
-        for s in series_list:
-            topk_scan_match(s, delta, heap)
-        return heap.flows()[0] if heap.flows() else 0.0
+        top = topk_flows(series_list, delta, 1)
+        return top[0] if top else 0.0
 
     top = benchmark(run)
     benchmark.extra_info.update(dataset=kind, algo="heap", top1_flow=top)

@@ -1,10 +1,9 @@
 """Fig. 13 benchmark: scalability over time-prefix samples (B/F/T analogues)."""
 import pytest
 
-from repro import synth_data
 from repro.core.motif import MOTIFS
 from repro.experiments import defaults
-from repro.networks.generators import time_prefix
+from repro.networks.generators import generate, time_prefix
 from repro.spark.search import count_instances
 
 from .conftest import BENCH_SF, SEED
@@ -17,7 +16,7 @@ def prefix_frames(spark):
     """kind -> {fraction -> cached Spark DataFrame of the time prefix}."""
     out = {}
     for kind in ("bitcoin", "facebook", "passenger"):
-        pdf = synth_data.interactions_pdf(kind, sf=BENCH_SF, seed=SEED)
+        pdf = generate(kind, sf=BENCH_SF, seed=SEED)
         out[kind] = {}
         for frac in (0.25, 0.5, 0.75, 1.0):
             sample = time_prefix(pdf, frac, kind)

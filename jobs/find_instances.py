@@ -30,7 +30,7 @@ def main() -> None:
 
     spark = SparkSession.builder.appName("find_instances").getOrCreate()
     edges = synth_data.interactions(spark, args.dataset, sf=args.sf, seed=args.seed)
-    d_def, p_def = synth_data.default_delta_phi(args.dataset)
+    d_def, p_def = experiments.defaults(args.dataset)
     delta = args.delta if args.delta is not None else d_def
     phi = args.phi if args.phi is not None else p_def
     motif = MOTIFS[args.motif]

@@ -24,7 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 NEG_INF = float("-inf")
 
@@ -206,41 +206,48 @@ def _find_instances(
             )
 
 
-def enumerate_instances(
-    series: Sequence[Series],
-    delta: float,
-    phi: float,
-    *,
-    phi_fn: Callable[[], float] | None = None,
-) -> list[Instance]:
-    """All maximal instances of the motif within one structural match.
+def _maximal_ranges(
+    series: Sequence[Series], delta: float, phi_fn: Callable[[], float]
+) -> Iterator[Ranges]:
+    """Each distinct maximal instance of one structural match, once.
 
     Windows of length ``delta`` are anchored at every interaction of the
     first motif edge (a maximal instance's temporally first element belongs
     to ``R(e_1)``); candidates from FindInstances are then filtered through
-    the Definition 3.3 maximality check. Results are sorted by
-    (t_start, ranges) for determinism.
+    the Definition 3.3 maximality check. ``phi_fn`` is Algorithm 1's phi or
+    the top-k heap's floating threshold.
     """
     if any(len(r) == 0 for r in series):
-        return []
-    get_phi = phi_fn if phi_fn is not None else (lambda: phi)
+        return
     first = series[0]
-    results: dict[Ranges, Instance] = {}
+    seen: set[Ranges] = set()
     for k in range(len(first)):
         candidates: list[Ranges] = []
         hi = window_end(first.ts[k], delta)
-        _find_instances(series, 0, k, hi, get_phi, candidates, ())
+        _find_instances(series, 0, k, hi, phi_fn, candidates, ())
         for ranges in candidates:
-            if ranges in results:
+            if ranges in seen:
                 continue
+            seen.add(ranges)
             if is_maximal(series, ranges, delta):
-                results[ranges] = Instance(
-                    ranges=ranges,
-                    flow=instance_flow(series, ranges),
-                    t_start=series[0].ts[ranges[0][0]],
-                    t_end=series[-1].ts[ranges[-1][1]],
-                )
-    return sorted(results.values(), key=lambda x: (x.t_start, x.ranges))
+                yield ranges
+
+
+def enumerate_instances(
+    series: Sequence[Series], delta: float, phi: float
+) -> list[Instance]:
+    """All maximal instances of the motif within one structural match,
+    sorted by (t_start, ranges) for determinism."""
+    results = [
+        Instance(
+            ranges=ranges,
+            flow=instance_flow(series, ranges),
+            t_start=series[0].ts[ranges[0][0]],
+            t_end=series[-1].ts[ranges[-1][1]],
+        )
+        for ranges in _maximal_ranges(series, delta, lambda: phi)
+    ]
+    return sorted(results, key=lambda x: (x.t_start, x.ranges))
 
 
 def count_instances(series: Sequence[Series], delta: float, phi: float) -> int:

@@ -13,14 +13,7 @@ import heapq
 from itertools import count
 from typing import Iterable, Sequence
 
-from .instances import (
-    Ranges,
-    Series,
-    _find_instances,
-    instance_flow,
-    is_maximal,
-    window_end,
-)
+from .instances import Series, _maximal_ranges, instance_flow
 
 
 class TopKHeap:
@@ -68,20 +61,8 @@ def topk_scan_match(
     Runs Algorithm 1's window/prefix enumeration with the heap's floating
     threshold in place of phi, checking maximality before offering.
     """
-    if any(len(r) == 0 for r in series):
-        return
-    first = series[0]
-    seen: set[Ranges] = set()
-    for k in range(len(first)):
-        candidates: list[Ranges] = []
-        hi = window_end(first.ts[k], delta)
-        _find_instances(series, 0, k, hi, heap.threshold, candidates, ())
-        for ranges in candidates:
-            if ranges in seen:
-                continue
-            seen.add(ranges)
-            if is_maximal(series, ranges, delta):
-                heap.offer(instance_flow(series, ranges), ranges)
+    for ranges in _maximal_ranges(series, delta, heap.threshold):
+        heap.offer(instance_flow(series, ranges), ranges)
 
 
 def topk_flows(

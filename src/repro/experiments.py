@@ -2,8 +2,8 @@
 
 Each function takes a SparkSession and returns a pandas DataFrame whose rows
 mirror what the paper reports, with the paper's own numbers alongside where
-the artifact is a table (Tables 3 and 4). ``jobs/*.py`` wrap these for
-spark-submit; ``benchmarks/bench_*.py`` wrap the timed pieces for
+the artifact is a table (Tables 3 and 4). ``jobs/run_experiments.py``
+runs them by name; ``benchmarks/bench_*.py`` wrap the timed pieces for
 pytest-benchmark. EXPERIMENTS.md records paper-vs-measured.
 
 Absolute counts/runtimes are not comparable to the paper (our networks are
@@ -22,11 +22,13 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro import synth_data
+from repro.core.dp import max_flow as dp_max_flow
 from repro.core.motif import MOTIF_ORDER, MOTIFS
-from repro.networks.generators import DATASETS, SPECS, time_prefix
+from repro.core.topk import topk_flows
+from repro.networks.generators import DATASETS, SPECS, generate, time_prefix
 from repro.spark import search as sp
 from repro.spark.graph import dataset_stats
-from repro.spark.join_baseline import count_instances_join
+from repro.spark.join_baseline import count_instances_join, join_intermediate_counts
 from repro.spark.significance import significance
 
 #: Paper Table 3 — statistics of the real datasets.
@@ -176,8 +178,6 @@ def fig8_intermediates(
     count, so the redundancy ratio is explicit even where wall-clock at
     laptop scale is overhead-dominated (see EXPERIMENTS.md).
     """
-    from repro.spark.join_baseline import join_intermediate_counts
-
     rows = []
     for kind in DATASETS:
         edges = load(spark, kind, sf=sf, seed=seed)
@@ -211,27 +211,20 @@ def fig12_kernel(
     overhead — the comparison the paper's single-machine Python
     implementation actually makes.
     """
-    from repro.core.dp import max_flow as dp_max_flow
-    from repro.core.instances import Series
-    from repro.core.topk import TopKHeap, topk_scan_match
-
     rows = []
     for kind in DATASETS:
         edges = load(spark, kind, sf=sf, seed=seed)
         delta, _ = defaults(kind)
         for name in motifs:
             motif = MOTIFS[name]
-            wide = sp.matches_with_series(edges, motif).collect()
             all_series = [
-                [Series(zip(r[f"ts{i}"], r[f"fs{i}"])) for i in range(motif.m)]
-                for r in wide
+                sp.match_series(r, motif.m)
+                for r in sp.matches_with_series(edges, motif).collect()
             ]
             t0 = time.perf_counter()
-            heap = TopKHeap(1)
-            for series in all_series:
-                topk_scan_match(series, delta, heap)
+            top = topk_flows(all_series, delta, 1)
             t_heap = time.perf_counter() - t0
-            top1 = heap.flows()[0] if heap.flows() else 0.0
+            top1 = top[0] if top else 0.0
             t0 = time.perf_counter()
             best = 0.0
             for series in all_series:
@@ -362,7 +355,7 @@ def fig13_scalability(
     """#instances and runtime on time-prefix samples (B1..B5 analogues)."""
     rows = []
     for kind in DATASETS:
-        pdf = synth_data.interactions_pdf(kind, sf=sf, seed=seed)
+        pdf = generate(kind, sf=sf, seed=seed)
         delta, phi = defaults(kind)
         for frac in fractions:
             sample = time_prefix(pdf, frac, kind)

@@ -109,19 +109,14 @@ def intervals_sql(delta: float, phi: float, table: str = "edges") -> str:
     """
 
 
-def candidate_instances_join(
-    edges: DataFrame, motif: Motif, delta: float, phi: float
-) -> DataFrame:
-    """The join cascade's raw output *before* the maximality filter.
+def _cascade(iv: DataFrame, motif: Motif, delta: float) -> list[DataFrame]:
+    """The merge-join cascade over intervals ``iv`` along the spanning path.
 
-    These candidate tuples are the "intermediate results" the paper blames
-    for the baseline's slowness (every combination of per-edge intervals
-    that is structurally, temporally and flow-wise compatible); counting
-    them quantifies the blow-up relative to the final maximal instances.
+    Returns the first motif edge's frame and then the frame after each join
+    step; the last one holds the m-edge candidates before the vertex
+    bijection filter.
     """
-    iv = intervals(edges, delta, phi)
     path = motif.path
-    m = motif.m
 
     def step(i: int) -> DataFrame:
         cols = [
@@ -138,8 +133,9 @@ def candidate_instances_join(
     out = step(0).withColumnRenamed("_u0", f"v{path[0]}").withColumnRenamed(
         "_w0", f"v{path[1]}"
     )
+    frames = [out]
     bound = {path[0], path[1]}
-    for i in range(1, m):
+    for i in range(1, motif.m):
         a, b = path[i], path[i + 1]
         cond: Column = (F.col(f"_u{i}") == F.col(f"v{a}")) & (
             F.col(f"ts{i}") > F.col(f"te{i-1}")  # strict time order
@@ -152,6 +148,21 @@ def candidate_instances_join(
         else:
             out = out.withColumnRenamed(f"_w{i}", f"v{b}")
             bound.add(b)
+        frames.append(out)
+    return frames
+
+
+def candidate_instances_join(
+    edges: DataFrame, motif: Motif, delta: float, phi: float
+) -> DataFrame:
+    """The join cascade's raw output *before* the maximality filter.
+
+    These candidate tuples are the "intermediate results" the paper blames
+    for the baseline's slowness (every combination of per-edge intervals
+    that is structurally, temporally and flow-wise compatible); counting
+    them quantifies the blow-up relative to the final maximal instances.
+    """
+    out = _cascade(intervals(edges, delta, phi), motif, delta)[-1]
     for i in range(motif.n_nodes):
         for j in range(i + 1, motif.n_nodes):
             out = out.filter(F.col(f"v{i}") != F.col(f"v{j}"))
@@ -169,36 +180,7 @@ def join_intermediate_counts(
     instance of the complete motif"). Compare the peak against the final
     maximal-instance count.
     """
-    iv = intervals(edges, delta, phi)
-    path = motif.path
-    m = motif.m
-    counts = [iv.count()]
-
-    def step(i: int) -> DataFrame:
-        return iv.select(
-            F.col("src").alias(f"_u{i}"),
-            F.col("dst").alias(f"_w{i}"),
-            F.col("ts").alias(f"ts{i}"),
-            F.col("te").alias(f"te{i}"),
-        )
-
-    out = step(0).withColumnRenamed("_u0", f"v{path[0]}").withColumnRenamed(
-        "_w0", f"v{path[1]}"
-    )
-    bound = {path[0], path[1]}
-    for i in range(1, m):
-        a, b = path[i], path[i + 1]
-        cond = (F.col(f"_u{i}") == F.col(f"v{a}")) & (
-            F.col(f"ts{i}") > F.col(f"te{i-1}")
-        ) & (F.col(f"te{i}") - F.col("ts0") <= F.lit(delta))
-        out = out.join(step(i), on=cond, how="inner").drop(f"_u{i}")
-        if b in bound:
-            out = out.filter(F.col(f"_w{i}") == F.col(f"v{b}")).drop(f"_w{i}")
-        else:
-            out = out.withColumnRenamed(f"_w{i}", f"v{b}")
-            bound.add(b)
-        counts.append(out.count())
-    return counts
+    return [f.count() for f in _cascade(intervals(edges, delta, phi), motif, delta)]
 
 
 def find_instances_join(

@@ -99,28 +99,38 @@ def _typed_frame(schema: StructType, rows: list[tuple]) -> pd.DataFrame:
     )
 
 
+def match_series(row, m: int) -> list[Series]:
+    """A :func:`matches_with_series` row's per-edge :class:`Series`.
+
+    ``row`` is anything indexable by column name (a Spark ``Row`` or a
+    dict); ``m`` is the motif's edge count.
+    """
+    return [Series(zip(row[f"ts{i}"], row[f"fs{i}"])) for i in range(m)]
+
+
 def _p2(
-    wide: DataFrame,
+    edges: DataFrame,
     motif: Motif,
+    delta: float,
     per_batch: Callable[[Iterator[_Match]], Iterable[tuple]],
     schema: StructType,
 ) -> DataFrame:
     """The P2 driver: ``per_batch`` maps one Arrow batch's matches to rows.
 
-    ``wide`` is :func:`matches_with_series` output; each match reaches
-    ``per_batch`` as its row and its rebuilt per-edge :class:`Series` list.
+    The input is :func:`matches_with_series` pruned by ``delta``; each match
+    reaches ``per_batch`` as its row and its per-edge :class:`Series` list.
     """
     m = motif.m
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             matches = (
-                (rd, [Series(zip(rd[f"ts{i}"], rd[f"fs{i}"])) for i in range(m)])
+                (rd, match_series(rd, m))
                 for rd in (row._asdict() for row in pdf.itertuples(index=False))
             )
             yield _typed_frame(schema, list(per_batch(matches)))
 
-    return wide.mapInPandas(kernel, schema=schema)
+    return matches_with_series(edges, motif, delta).mapInPandas(kernel, schema=schema)
 
 
 def find_instances(
@@ -152,12 +162,7 @@ def find_instances(
                     repr(windows),
                 )
 
-    return _p2(
-        matches_with_series(edges, motif, delta),
-        motif,
-        per_batch,
-        _instances_schema(motif),
-    )
+    return _p2(edges, motif, delta, per_batch, _instances_schema(motif))
 
 
 def count_instances(
@@ -169,10 +174,7 @@ def count_instances(
         return [(sum(len(enumerate_instances(s, delta, phi)) for _, s in matches),)]
 
     out = _p2(
-        matches_with_series(edges, motif, delta),
-        motif,
-        per_batch,
-        StructType([StructField("n", LongType())]),
+        edges, motif, delta, per_batch, StructType([StructField("n", LongType())])
     )
     return int(out.agg(F.sum("n")).collect()[0][0] or 0)
 
@@ -185,8 +187,10 @@ def topk_flows(
     Each executor runs the floating-threshold heap of § 5 (phi = 0 plus the
     k-th-best-so-far prune) over one batch of matches at a time, emitting
     at most k flows per batch; the global top-k is a Catalyst sort-limit
-    over those candidates.
+    over those candidates. Raises ``ValueError`` unless ``k >= 1``.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
     def per_batch(matches: Iterator[_Match]) -> list[tuple]:
         heap = TopKHeap(k)
@@ -194,12 +198,7 @@ def topk_flows(
             topk_scan_match(series, delta, heap)
         return [(f,) for f in heap.flows()]
 
-    out = _p2(
-        matches_with_series(edges, motif, delta),
-        motif,
-        per_batch,
-        _FLOW_SCHEMA,
-    )
+    out = _p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
     return [
         r.flow for r in out.orderBy(F.desc("flow")).limit(k).collect()
     ]
@@ -211,12 +210,7 @@ def max_flow(edges: DataFrame, motif: Motif, delta: float) -> float:
     def per_batch(matches: Iterator[_Match]) -> list[tuple]:
         return [(max((dp_max_flow(s, delta) for _, s in matches), default=0.0),)]
 
-    out = _p2(
-        matches_with_series(edges, motif, delta),
-        motif,
-        per_batch,
-        _FLOW_SCHEMA,
-    )
+    out = _p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
     return float(out.agg(F.max("flow")).collect()[0][0] or 0.0)
 
 

@@ -76,8 +76,11 @@ def significance(
     """Real vs randomized instance counts and the z-score for one motif.
 
     The paper uses 20 random graphs; ``n_random`` defaults to 5 for
-    runtime (EXPERIMENTS.md reports which value each run used).
+    runtime (EXPERIMENTS.md reports which value each run used). Raises
+    ``ValueError`` unless ``n_random >= 1``.
     """
+    if n_random < 1:
+        raise ValueError(f"n_random must be >= 1, got {n_random}")
     real = count_instances(edges, motif, delta, phi)
     counts = []
     for r in range(n_random):

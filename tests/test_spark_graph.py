@@ -65,7 +65,7 @@ class TestDatasetStats:
     def test_stats_match_pandas_generator_stats(self, spark):
         from repro.networks import generators as gen
 
-        pdf = synth_data.interactions_pdf("passenger", sf=0.3, seed=2)
+        pdf = gen.generate("passenger", sf=0.3, seed=2)
         expected = gen.stats(pdf)
         row = dataset_stats(
             spark, spark.createDataFrame(pdf, schema="src long, dst long, t double, f double")

@@ -5,14 +5,24 @@ from repro.core.motif import MOTIFS
 from repro.oracle import assert_equivalent
 from repro.spark import search as sp
 from repro.spark.join_baseline import (
+    candidate_instances_join,
     count_instances_join,
     find_instances_join,
     intervals,
     intervals_sql,
+    join_intermediate_counts,
 )
 from tests.conftest import random_edges, spark_instance_set, to_spark_edges
 
 FIG2_EDGES = [(3, 1, 10.0, 10.0), (1, 2, 13.0, 5.0), (1, 2, 15.0, 7.0), (2, 3, 18.0, 20.0)]
+
+#: ``join_intermediate_counts`` on two fixed graphs, recorded when the counts
+#: had their own copy of the join cascade:
+#: (random_edges seed, n_edges, delta, phi) -> motif -> counts.
+CASCADE_PINS = {
+    (6, 35, 12.0, 0.0): {"M(3,2)": [45, 48], "M(3,3)": [45, 48, 5], "M(4,3)": [45, 48, 34]},
+    (7, 30, 10.0, 2.0): {"M(3,2)": [31, 26], "M(3,3)": [31, 26, 1], "M(4,3)": [31, 26, 17]},
+}
 
 
 class TestIntervals:
@@ -154,3 +164,14 @@ class TestIntermediateInstrumentation:
         edges = to_spark_edges(spark, random_edges(7, n_nodes=6, n_edges=30))
         counts = join_intermediate_counts(edges, motif, 10.0, 2.0)
         assert counts[0] == intervals(edges, 10.0, 2.0).count()
+
+    @pytest.mark.parametrize("name", ["M(3,2)", "M(3,3)", "M(4,3)"])
+    @pytest.mark.parametrize("graph", sorted(CASCADE_PINS))
+    def test_cascade_counts_pinned(self, spark, graph, name):
+        seed, n_edges, delta, phi = graph
+        motif = MOTIFS[name]
+        edges = to_spark_edges(spark, random_edges(seed, n_nodes=6, n_edges=n_edges))
+        counts = join_intermediate_counts(edges, motif, delta, phi)
+        assert counts == CASCADE_PINS[graph][name]
+        # the bijection filter only removes rows from the last step
+        assert candidate_instances_join(edges, motif, delta, phi).count() <= counts[-1]

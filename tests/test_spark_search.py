@@ -152,6 +152,12 @@ class TestTopK:
         got = sp.topk_flows(to_spark_edges(spark, edges), motif, 12.0, k)
         assert got == topk_graph(edges, motif, 12.0, k)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, spark, k):
+        edges = to_spark_edges(spark, FIG2_EDGES)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            sp.topk_flows(edges, MOTIFS["M(3,3)"], 10.0, k)
+
     def test_topk_sorted_desc(self, spark):
         motif = MOTIFS["M(3,2)"]
         edges = random_edges(2, n_nodes=6, n_edges=40, t_max=40)

@@ -86,6 +86,14 @@ class TestSignificance:
         )
         assert len(res.random_counts) == 3
 
+    @pytest.mark.parametrize("n_random", [0, -2])
+    def test_n_random_below_one_rejected(self, spark, n_random):
+        edges = to_spark_edges(spark, self._coherent_graph())
+        with pytest.raises(ValueError, match="n_random must be >= 1"):
+            significance(
+                edges, MOTIFS["M(3,2)"], delta=10.0, phi=9.0, n_random=n_random
+            )
+
     def test_phi_zero_gives_zero_z(self, spark):
         """With phi = 0 real and random counts are identical by design."""
         edges = to_spark_edges(spark, random_edges(6, n_nodes=6, n_edges=30))
