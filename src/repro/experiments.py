@@ -3,8 +3,8 @@
 Each function takes a SparkSession and returns a pandas DataFrame whose rows
 mirror what the paper reports, with the paper's own numbers alongside where
 the artifact is a table (Tables 3 and 4). ``jobs/run_experiments.py``
-runs them by name; ``benchmarks/bench_*.py`` wrap the timed pieces for
-pytest-benchmark. EXPERIMENTS.md records paper-vs-measured.
+runs them by name and is the only table/figure harness; EXPERIMENTS.md
+records paper-vs-measured. Speed claims come from ``perfbench/``.
 
 Absolute counts/runtimes are not comparable to the paper (our networks are
 ~1000x smaller synthetic stand-ins and the substrate is local-mode Spark);
@@ -16,20 +16,21 @@ counts beat flow-permuted counts (positive z-scores).
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro import synth_data
 from repro.core.dp import max_flow as dp_max_flow
-from repro.core.motif import MOTIF_ORDER, MOTIFS
+from repro.core.motif import MOTIF_ORDER, MOTIFS, Motif
 from repro.core.topk import topk_flows
 from repro.networks.generators import DATASETS, SPECS, generate, time_prefix
 from repro.spark import search as sp
-from repro.spark.graph import dataset_stats
+from repro.spark.graph import dataset_stats, distinct_pairs
 from repro.spark.join_baseline import count_instances_join, join_intermediate_counts
 from repro.spark.significance import significance
+from repro.spark.structural import structural_matches_df
 
 #: Paper Table 3 — statistics of the real datasets.
 PAPER_TABLE3 = {
@@ -84,6 +85,25 @@ def defaults(kind: str) -> tuple[float, float]:
     return spec.delta_default, spec.phi_default
 
 
+def _cells(
+    spark: SparkSession, sf: float, seed: int, motifs: Sequence[str]
+) -> Iterator[tuple[str, DataFrame, float, float, Motif]]:
+    """``(kind, edges, delta, phi, motif)`` for every dataset and motif, at
+    the dataset's default (delta, phi)."""
+    for kind in DATASETS:
+        edges = load(spark, kind, sf=sf, seed=seed)
+        delta, phi = defaults(kind)
+        for name in motifs:
+            yield kind, edges, delta, phi, MOTIFS[name]
+
+
+def _timed(fn: Callable, *args) -> tuple:
+    """``(fn(*args), wall-clock seconds)``."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
 # --- Table 3 ---------------------------------------------------------------
 def table3(spark: SparkSession, *, sf: float = DEFAULT_SF, seed: int = 0) -> pd.DataFrame:
     """Dataset statistics, ours vs the paper's."""
@@ -116,15 +136,15 @@ def table4(
 ) -> pd.DataFrame:
     """Phase P1 structural matches and runtime, ours vs the paper's."""
     rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        for name in motifs:
-            n, secs = sp.phase1_count_and_time(edges, MOTIFS[name])
-            p_n, p_t = PAPER_TABLE4[kind][name]
-            rows.append(
-                dict(dataset=kind, motif=name, matches=n, p1_seconds=round(secs, 3),
-                     paper_matches=p_n, paper_p1_seconds=p_t)
-            )
+    for kind, edges, _, _, motif in _cells(spark, sf, seed, motifs):
+        n, secs = _timed(
+            lambda: structural_matches_df(distinct_pairs(edges), motif).count()
+        )
+        p_n, p_t = PAPER_TABLE4[kind][motif.name]
+        rows.append(
+            dict(dataset=kind, motif=motif.name, matches=n, p1_seconds=round(secs, 3),
+                 paper_matches=p_n, paper_p1_seconds=p_t)
+        )
     return pd.DataFrame(rows)
 
 
@@ -142,24 +162,16 @@ def fig8(
     reports the two-phase algorithm ~2x faster.
     """
     rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        delta, phi = defaults(kind)
-        for name in motifs:
-            motif = MOTIFS[name]
-            t0 = time.perf_counter()
-            n_two = sp.count_instances(edges, motif, delta, phi)
-            t_two = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            n_join = count_instances_join(edges, motif, delta, phi)
-            t_join = time.perf_counter() - t0
-            rows.append(
-                dict(dataset=kind, motif=name, instances=n_two,
-                     instances_join=n_join,
-                     twophase_seconds=round(t_two, 3),
-                     join_seconds=round(t_join, 3),
-                     speedup=round(t_join / t_two, 2) if t_two else float("nan"))
-            )
+    for kind, edges, delta, phi, motif in _cells(spark, sf, seed, motifs):
+        n_two, t_two = _timed(sp.count_instances, edges, motif, delta, phi)
+        n_join, t_join = _timed(count_instances_join, edges, motif, delta, phi)
+        rows.append(
+            dict(dataset=kind, motif=motif.name, instances=n_two,
+                 instances_join=n_join,
+                 twophase_seconds=round(t_two, 3),
+                 join_seconds=round(t_join, 3),
+                 speedup=round(t_join / t_two, 2) if t_two else float("nan"))
+        )
     return pd.DataFrame(rows)
 
 
@@ -179,21 +191,17 @@ def fig8_intermediates(
     laptop scale is overhead-dominated (see EXPERIMENTS.md).
     """
     rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        delta, phi = defaults(kind)
-        for name in motifs:
-            motif = MOTIFS[name]
-            counts = join_intermediate_counts(edges, motif, delta, phi)
-            final = sp.count_instances(edges, motif, delta, phi)
-            rows.append(
-                dict(dataset=kind, motif=name,
-                     intervals=counts[0],
-                     step_counts=str(counts[1:]),
-                     peak_intermediate=max(counts),
-                     maximal_instances=final,
-                     redundancy=round(max(counts) / final, 1) if final else None)
-            )
+    for kind, edges, delta, phi, motif in _cells(spark, sf, seed, motifs):
+        counts = join_intermediate_counts(edges, motif, delta, phi)
+        final = sp.count_instances(edges, motif, delta, phi)
+        rows.append(
+            dict(dataset=kind, motif=motif.name,
+                 intervals=counts[0],
+                 step_counts=str(counts[1:]),
+                 peak_intermediate=max(counts),
+                 maximal_instances=final,
+                 redundancy=round(max(counts) / final, 1) if final else None)
+        )
     return pd.DataFrame(rows)
 
 
@@ -212,35 +220,46 @@ def fig12_kernel(
     implementation actually makes.
     """
     rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        delta, _ = defaults(kind)
-        for name in motifs:
-            motif = MOTIFS[name]
-            all_series = [
-                sp.match_series(r, motif.m)
-                for r in sp.matches_with_series(edges, motif).collect()
-            ]
-            t0 = time.perf_counter()
-            top = topk_flows(all_series, delta, 1)
-            t_heap = time.perf_counter() - t0
-            top1 = top[0] if top else 0.0
-            t0 = time.perf_counter()
-            best = 0.0
-            for series in all_series:
-                best = max(best, dp_max_flow(series, delta))
-            t_dp = time.perf_counter() - t0
-            rows.append(
-                dict(dataset=kind, motif=name, matches=len(all_series),
-                     top1_flow=top1, dp_flow=best,
-                     heap_kernel_seconds=round(t_heap, 4),
-                     dp_kernel_seconds=round(t_dp, 4),
-                     dp_speedup=round(t_heap / t_dp, 2) if t_dp else None)
-            )
+    for kind, edges, delta, _, motif in _cells(spark, sf, seed, motifs):
+        all_series = [
+            sp.match_series(r, motif.m)
+            for r in sp.matches_with_series(edges, motif).collect()
+        ]
+        top, t_heap = _timed(topk_flows, all_series, delta, 1)
+        best, t_dp = _timed(
+            lambda: max((dp_max_flow(s, delta) for s in all_series), default=0.0)
+        )
+        rows.append(
+            dict(dataset=kind, motif=motif.name, matches=len(all_series),
+                 top1_flow=top[0] if top else 0.0, dp_flow=best,
+                 heap_kernel_seconds=round(t_heap, 4),
+                 dp_kernel_seconds=round(t_dp, 4),
+                 dp_speedup=round(t_heap / t_dp, 2) if t_dp else None)
+        )
     return pd.DataFrame(rows)
 
 
 # --- Figs. 9/10: sensitivity to delta and phi -------------------------------
+def _sweep(
+    spark: SparkSession,
+    sf: float,
+    seed: int,
+    motifs: Sequence[str],
+    grid: Callable[[float, float], Sequence[tuple[float, float]]],
+) -> pd.DataFrame:
+    """#instances and runtime at each (delta, phi) of ``grid(default delta,
+    default phi)``."""
+    rows = []
+    for kind, edges, delta0, phi0, motif in _cells(spark, sf, seed, motifs):
+        for delta, phi in grid(delta0, phi0):
+            n, secs = _timed(sp.count_instances, edges, motif, delta, phi)
+            rows.append(
+                dict(dataset=kind, motif=motif.name, delta=delta, phi=phi,
+                     instances=n, seconds=round(secs, 3))
+            )
+    return pd.DataFrame(rows)
+
+
 def fig9_delta(
     spark: SparkSession,
     *,
@@ -250,20 +269,9 @@ def fig9_delta(
     delta_factors: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
 ) -> pd.DataFrame:
     """#instances and runtime vs delta (phi at its default)."""
-    rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        delta0, phi = defaults(kind)
-        for name in motifs:
-            for fac in delta_factors:
-                delta = delta0 * fac
-                t0 = time.perf_counter()
-                n = sp.count_instances(edges, MOTIFS[name], delta, phi)
-                rows.append(
-                    dict(dataset=kind, motif=name, delta=delta, phi=phi,
-                         instances=n, seconds=round(time.perf_counter() - t0, 3))
-                )
-    return pd.DataFrame(rows)
+    return _sweep(
+        spark, sf, seed, motifs, lambda d, p: [(d * fac, p) for fac in delta_factors]
+    )
 
 
 def fig10_phi(
@@ -275,20 +283,9 @@ def fig10_phi(
     phi_factors: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
 ) -> pd.DataFrame:
     """#instances and runtime vs phi (delta at its default)."""
-    rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        delta, phi0 = defaults(kind)
-        for name in motifs:
-            for fac in phi_factors:
-                phi = phi0 * fac
-                t0 = time.perf_counter()
-                n = sp.count_instances(edges, MOTIFS[name], delta, phi)
-                rows.append(
-                    dict(dataset=kind, motif=name, delta=delta, phi=phi,
-                         instances=n, seconds=round(time.perf_counter() - t0, 3))
-                )
-    return pd.DataFrame(rows)
+    return _sweep(
+        spark, sf, seed, motifs, lambda d, p: [(d, p * fac) for fac in phi_factors]
+    )
 
 
 # --- Fig. 11: flow of the k-th instance -------------------------------------
@@ -302,10 +299,8 @@ def fig11_topk(
 ) -> pd.DataFrame:
     """Flow of the k-th best instance for increasing k (delta default)."""
     rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        delta, _ = defaults(kind)
-        flows = sp.topk_flows(edges, MOTIFS[motif], delta, max(ks))
+    for kind, edges, delta, _, m in _cells(spark, sf, seed, (motif,)):
+        flows = sp.topk_flows(edges, m, delta, max(ks))
         for k in ks:
             rows.append(
                 dict(dataset=kind, motif=motif, k=k,
@@ -324,22 +319,14 @@ def fig12_dp(
 ) -> pd.DataFrame:
     """Top-1 search runtime: general top-k (k=1) vs the DP module."""
     rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        delta, _ = defaults(kind)
-        for name in motifs:
-            motif = MOTIFS[name]
-            t0 = time.perf_counter()
-            top = sp.topk_flows(edges, motif, delta, 1)
-            t_heap = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            best = sp.max_flow(edges, motif, delta)
-            t_dp = time.perf_counter() - t0
-            rows.append(
-                dict(dataset=kind, motif=name,
-                     top1_flow=top[0] if top else 0.0, dp_flow=best,
-                     heap_seconds=round(t_heap, 3), dp_seconds=round(t_dp, 3))
-            )
+    for kind, edges, delta, _, motif in _cells(spark, sf, seed, motifs):
+        top, t_heap = _timed(sp.topk_flows, edges, motif, delta, 1)
+        best, t_dp = _timed(sp.max_flow, edges, motif, delta)
+        rows.append(
+            dict(dataset=kind, motif=motif.name,
+                 top1_flow=top[0] if top else 0.0, dp_flow=best,
+                 heap_seconds=round(t_heap, 3), dp_seconds=round(t_dp, 3))
+        )
     return pd.DataFrame(rows)
 
 
@@ -362,12 +349,10 @@ def fig13_scalability(
             edges = spark.createDataFrame(
                 sample, schema="src long, dst long, t double, f double"
             )
-            t0 = time.perf_counter()
-            n = sp.count_instances(edges, MOTIFS[motif], delta, phi)
+            n, secs = _timed(sp.count_instances, edges, MOTIFS[motif], delta, phi)
             rows.append(
                 dict(dataset=kind, motif=motif, fraction=frac,
-                     n_edges=len(sample), instances=n,
-                     seconds=round(time.perf_counter() - t0, 3))
+                     n_edges=len(sample), instances=n, seconds=round(secs, 3))
             )
     return pd.DataFrame(rows)
 
@@ -383,18 +368,13 @@ def fig14_significance(
 ) -> pd.DataFrame:
     """Real vs flow-permuted instance counts and z-scores per motif."""
     rows = []
-    for kind in DATASETS:
-        edges = load(spark, kind, sf=sf, seed=seed)
-        delta, phi = defaults(kind)
-        for name in motifs:
-            res = significance(
-                edges, MOTIFS[name], delta, phi, n_random=n_random, seed=seed
-            )
-            rows.append(
-                dict(dataset=kind, motif=name, real=res.real_count,
-                     random_mean=round(res.mean, 2),
-                     random_std=round(res.std, 2),
-                     z_score=round(res.z_score, 2),
-                     p_empirical=res.p_empirical)
-            )
+    for kind, edges, delta, phi, motif in _cells(spark, sf, seed, motifs):
+        res = significance(edges, motif, delta, phi, n_random=n_random, seed=seed)
+        rows.append(
+            dict(dataset=kind, motif=motif.name, real=res.real_count,
+                 random_mean=round(res.mean, 2),
+                 random_std=round(res.std, 2),
+                 z_score=round(res.z_score, 2),
+                 p_empirical=res.p_empirical)
+        )
     return pd.DataFrame(rows)

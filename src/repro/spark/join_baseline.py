@@ -28,6 +28,7 @@ from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.motif import Motif
 from repro.spark.graph import timeseries_graph
+from repro.spark.search import typed_frame
 from repro.spark.structural import node_columns
 
 _INTERVAL_SCHEMA = StructType(
@@ -76,19 +77,7 @@ def intervals(edges: DataFrame, delta: float, phi: float) -> DataFrame:
                                     float(ts[j + 1]) if j + 1 < n else None,
                                 )
                             )
-            yield pd.DataFrame(
-                rows, columns=[f.name for f in _INTERVAL_SCHEMA.fields]
-            ).astype(
-                {
-                    "src": "int64",
-                    "dst": "int64",
-                    "ts": "float64",
-                    "te": "float64",
-                    "f": "float64",
-                    "prev_t": "float64",
-                    "next_t": "float64",
-                }
-            )
+            yield typed_frame(_INTERVAL_SCHEMA, rows)
 
     return ts_graph.mapInPandas(kernel, schema=_INTERVAL_SCHEMA)
 

@@ -21,7 +21,6 @@ plain Catalyst plan.
 """
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, Iterator
 
 import pandas as pd
@@ -40,7 +39,7 @@ from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
 from repro.core.topk import TopKHeap, topk_scan_match
-from repro.spark.graph import distinct_pairs, timeseries_graph
+from repro.spark.graph import timeseries_graph
 from repro.spark.structural import node_columns, structural_matches_df
 
 #: One P2 input: a match row (column name -> value) and its per-edge series.
@@ -85,17 +84,15 @@ _PD_DTYPES = {
 }
 
 
-def _typed_frame(schema: StructType, rows: list[tuple]) -> pd.DataFrame:
-    """Rows -> pandas frame with explicit dtypes.
+def typed_frame(schema: StructType, rows: list[tuple]) -> pd.DataFrame:
+    """Rows -> pandas frame with the schema's dtypes, for a ``mapInPandas``
+    kernel to yield.
 
     Empty batches must still carry the right dtypes or the Arrow conversion
     back to Spark rejects the (object-typed) empty columns.
     """
-    cols = [f.name for f in schema.fields]
-    if rows:
-        return pd.DataFrame(rows, columns=cols)
-    return pd.DataFrame(
-        {f.name: pd.Series(dtype=_PD_DTYPES[f.dataType.typeName()]) for f in schema.fields}
+    return pd.DataFrame(rows, columns=schema.fieldNames()).astype(
+        {f.name: _PD_DTYPES[f.dataType.typeName()] for f in schema.fields}
     )
 
 
@@ -128,7 +125,7 @@ def _p2(
                 (rd, match_series(rd, m))
                 for rd in (row._asdict() for row in pdf.itertuples(index=False))
             )
-            yield _typed_frame(schema, list(per_batch(matches)))
+            yield typed_frame(schema, list(per_batch(matches)))
 
     return matches_with_series(edges, motif, delta).mapInPandas(kernel, schema=schema)
 
@@ -212,10 +209,3 @@ def max_flow(edges: DataFrame, motif: Motif, delta: float) -> float:
 
     out = _p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
     return float(out.agg(F.max("flow")).collect()[0][0] or 0.0)
-
-
-def phase1_count_and_time(edges: DataFrame, motif: Motif) -> tuple[int, float]:
-    """Table 4 helper: structural match count and wall-clock P1 seconds."""
-    t0 = time.perf_counter()
-    n = structural_matches_df(distinct_pairs(edges), motif).count()
-    return n, time.perf_counter() - t0

@@ -5,7 +5,9 @@ permutes the multiset of flow values over the edges, so structural matches
 and delta-only instances are identical between the real and random graphs;
 only the flow constraint phi discriminates. A motif is significant when the
 real instance count exceeds the randomized counts — quantified by the
-z-score z_M = (r_M - mu_M) / sigma_M over R random graphs.
+z-score z_M = (r_M - mu_M) / sigma_M over R random graphs. When every
+random count is the same (sigma_M = 0, always so for R = 1), z_M is +inf or
+-inf by the sign of r_M - mu_M, and 0 when they are equal.
 """
 from __future__ import annotations
 
@@ -88,7 +90,10 @@ def significance(
         counts.append(count_instances(g_r, motif, delta, phi))
     mu = float(np.mean(counts))
     sigma = float(np.std(counts))
-    z = (real - mu) / sigma if sigma > 0 else math.inf if real > mu else 0.0
+    if sigma > 0:
+        z = (real - mu) / sigma
+    else:
+        z = math.copysign(math.inf, real - mu) if real != mu else 0.0
     p = sum(c >= real for c in counts) / len(counts)
     return SignificanceResult(
         motif=motif.name,

@@ -1,11 +1,10 @@
-"""Every ``jobs/*.py`` and ``benchmarks/bench_*.py`` module imports cleanly.
+"""Every ``jobs/*.py`` module imports cleanly.
 
-Tier-1 runs no job or benchmark, so this is what catches one that still
+Tier-1 runs no job, so this is what catches one that still
 imports or uses a deleted name. Importing must not start Spark: entrypoint
 work belongs under ``__main__`` or in fixtures.
 """
 import ast
-import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -17,7 +16,6 @@ from repro import experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 JOBS = sorted(ROOT.glob("jobs/*.py"))
-BENCHMARKS = sorted(ROOT.glob("benchmarks/bench_*.py"))
 
 
 def load_job(path: Path):
@@ -27,13 +25,10 @@ def load_job(path: Path):
     return mod
 
 
-@pytest.mark.parametrize("path", JOBS + BENCHMARKS, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", JOBS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_imports_without_spark(path):
     before = SparkContext._active_spark_context
-    if path.parent.name == "jobs":
-        mod = load_job(path)
-    else:  # benchmarks is a package: bench modules import its conftest
-        mod = importlib.import_module(f"benchmarks.{path.stem}")
+    mod = load_job(path)
     assert SparkContext._active_spark_context is before
     # ``alias.name`` uses (e.g. ``synth_data.interactions`` inside main())
     # are only resolved when the code runs; check them against the module.

@@ -1,13 +1,23 @@
-"""Experiment harness tests: structure and shape of each table/figure frame.
+"""Experiment harness tests: structure and shape of each table/figure frame,
+and the harness counts pinned to the pure-Python reference.
 
 Run at a small scale factor; the full-scale numbers live in EXPERIMENTS.md
-(regenerated by the benchmarks and jobs).
+(regenerated by ``jobs/run_experiments.py``).
 """
 import pytest
 
 from repro import experiments as ex
+from repro.core.motif import MOTIFS
+from repro.core.search import count_graph
+from repro.core.structural import structural_matches
+from repro.networks.generators import generate
 
 SF = 0.15
+
+
+def _edges(kind):
+    """The network the harness loads for ``kind``, as an edge list."""
+    return list(generate(kind, sf=SF, seed=0).itertuples(index=False, name=None))
 
 
 class TestTable3:
@@ -38,6 +48,13 @@ class TestTable4:
         assert (wide["M(3,2)"] >= wide["M(3,3)"]).all()
 
 
+    def test_matches_equal_reference(self, spark):
+        df = ex.table4(spark, sf=SF, motifs=["M(3,2)", "M(3,3)"])
+        for _, row in df.iterrows():
+            pairs = {(u, v) for u, v, _, _ in _edges(row.dataset)}
+            assert row.matches == len(structural_matches(pairs, MOTIFS[row.motif]))
+
+
 class TestFig8:
     def test_counts_agree_between_algorithms(self, spark):
         df = ex.fig8(spark, sf=SF, motifs=["M(3,2)"])
@@ -60,6 +77,29 @@ class TestFig9And10:
             grp = grp.sort_values("phi")
             inst = list(grp.instances)
             assert inst == sorted(inst, reverse=True)
+
+
+    @pytest.mark.parametrize(
+        "harness, swept, factors",
+        [(ex.fig9_delta, "delta", (0.5, 2.0)), (ex.fig10_phi, "phi", (0.0, 1.0, 2.0))],
+        ids=["fig9_delta", "fig10_phi"],
+    )
+    def test_sweep_matches_reference(self, spark, harness, swept, factors):
+        """Each row counts the instances at its own (delta, phi); only the
+        swept parameter moves off its default."""
+        df = harness(spark, sf=SF, motifs=["M(3,2)", "M(3,3)"],
+                     **{f"{swept}_factors": factors})
+        assert len(df) == 3 * 2 * len(factors)
+        fixed = "phi" if swept == "delta" else "delta"
+        for (kind, name), grp in df.groupby(["dataset", "motif"]):
+            default = dict(zip(("delta", "phi"), ex.defaults(kind)))
+            assert list(grp[swept]) == [default[swept] * fac for fac in factors]
+            assert (grp[fixed] == default[fixed]).all()
+            edges = _edges(kind)
+            for _, row in grp.iterrows():
+                assert row.instances == count_graph(
+                    edges, MOTIFS[name], row.delta, row.phi
+                )
 
 
 class TestFig11And12:

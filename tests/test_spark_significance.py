@@ -1,4 +1,6 @@
 """Flow-permutation randomization and z-scores (paper § 6.3 / Fig. 14)."""
+import math
+
 import pytest
 
 from repro.core.motif import MOTIFS
@@ -78,6 +80,21 @@ class TestSignificance:
         assert res.mean < res.real_count
         assert res.z_score > 1.0
         assert res.p_empirical == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_negative_z_when_random_counts_identical(self, spark, seed):
+        """The coherent graph with chain and noise flows swapped: no chain
+        reaches phi, while permuting moves high flows onto chains. With one
+        random graph sigma = 0, and a real count below it must read -inf."""
+        edges = to_spark_edges(
+            spark, [(s, d, t, 10.0 - f) for s, d, t, f in self._coherent_graph()]
+        )
+        res = significance(
+            edges, MOTIFS["M(3,2)"], delta=10.0, phi=9.0, n_random=1, seed=seed
+        )
+        assert res.real_count == 0 < res.mean
+        assert res.std == 0.0
+        assert res.z_score == -math.inf
 
     def test_random_counts_recorded(self, spark):
         edges = to_spark_edges(spark, self._coherent_graph())
