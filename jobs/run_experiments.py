@@ -7,7 +7,7 @@ run in the order below, which produces the numbers in EXPERIMENTS.md.
 paper uses 20).
 
 Usage: spark-submit jobs/run_experiments.py [name ...] [--sf 0.5] [--seed 0]
-       [--n-random 5] [--out experiments_raw.txt]
+       [--n-random 20] [--out experiments_raw.txt]
 """
 import argparse
 import contextlib
@@ -39,7 +39,7 @@ def main() -> None:
     ap.add_argument("names", nargs="*", metavar="name", help=" ".join(NAMES))
     ap.add_argument("--sf", type=float, default=ex.DEFAULT_SF)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n-random", type=int, default=5)
+    ap.add_argument("--n-random", type=int, default=20)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
     unknown = sorted(set(args.names) - set(NAMES))

@@ -364,7 +364,7 @@ def fig14_significance(
     sf: float = DEFAULT_SF,
     seed: int = 0,
     motifs: Sequence[str] = ("M(3,2)", "M(3,3)", "M(4,3)"),
-    n_random: int = 5,
+    n_random: int = 20,
 ) -> pd.DataFrame:
     """Real vs flow-permuted instance counts and z-scores per motif."""
     rows = []

@@ -28,17 +28,20 @@ def timeseries_graph(edges: DataFrame) -> DataFrame:
     """Multigraph -> G_T: (src, dst, ts array<double>, fs array<double>).
 
     Parallel edges between the same pair are merged into a time-sorted
-    interaction series; sorting by the (t, f) struct is sorting by t since
-    timestamps are unique within a pair.
+    interaction series; sorting by the (t, f, ...) struct is sorting by t
+    since timestamps are unique within a pair. Every column other than
+    ``src``/``dst``/``t`` becomes an array aligned with ``ts``, named with
+    an ``s`` suffix: ``f`` -> ``fs``, and e.g. the permuted flows ``fr`` of
+    :mod:`repro.spark.significance` -> ``frs``.
     """
+    values = [c for c in edges.columns if c not in ("src", "dst", "t")]
+    fields = ", ".join(f"`{c}`" for c in ("t", *values))
+    # SQL text: one JVM round trip per call (see repro.spark.structural)
     return (
         edges.groupBy("src", "dst")
-        .agg(F.sort_array(F.collect_list(F.struct("t", "f"))).alias("tf"))
-        .select(
-            "src",
-            "dst",
-            F.col("tf.t").alias("ts"),
-            F.col("tf.f").alias("fs"),
+        .agg(F.expr(f"sort_array(collect_list(struct({fields}))) AS tf"))
+        .selectExpr(
+            "src", "dst", "tf.t AS ts", *[f"tf.`{c}` AS `{c}s`" for c in values]
         )
     )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
@@ -106,37 +106,39 @@ def _cascade(iv: DataFrame, motif: Motif, delta: float) -> list[DataFrame]:
     bijection filter.
     """
     path = motif.path
+    d = f"{float(delta)!r}D"  # repr round-trips: the exact double
 
-    def step(i: int) -> DataFrame:
-        cols = [
-            F.col("src").alias(f"_u{i}"),
-            F.col("dst").alias(f"_w{i}"),
-            F.col("ts").alias(f"ts{i}"),
-            F.col("te").alias(f"te{i}"),
-            F.col("f").alias(f"f{i}"),
-            F.col("prev_t").alias(f"prev{i}"),
-            F.col("next_t").alias(f"next{i}"),
-        ]
-        return iv.select(*cols)
+    # Columns and conditions are SQL text, one JVM round trip each (see
+    # repro.spark.structural).
+    def step(i: int, src: str, dst: str) -> DataFrame:
+        return iv.selectExpr(
+            f"src AS {src}",
+            f"dst AS {dst}",
+            f"ts AS ts{i}",
+            f"te AS te{i}",
+            f"f AS f{i}",
+            f"prev_t AS prev{i}",
+            f"next_t AS next{i}",
+        )
 
-    out = step(0).withColumnRenamed("_u0", f"v{path[0]}").withColumnRenamed(
-        "_w0", f"v{path[1]}"
-    )
+    out = step(0, f"v{path[0]}", f"v{path[1]}")
     frames = [out]
     bound = {path[0], path[1]}
     for i in range(1, motif.m):
         a, b = path[i], path[i + 1]
-        cond: Column = (F.col(f"_u{i}") == F.col(f"v{a}")) & (
-            F.col(f"ts{i}") > F.col(f"te{i-1}")  # strict time order
-        ) & (
-            F.col(f"te{i}") - F.col("ts0") <= F.lit(delta)  # running duration
-        )
-        out = out.join(step(i), on=cond, how="inner").drop(f"_u{i}")
-        if b in bound:
-            out = out.filter(F.col(f"_w{i}") == F.col(f"v{b}")).drop(f"_w{i}")
-        else:
-            out = out.withColumnRenamed(f"_w{i}", f"v{b}")
-            bound.add(b)
+        revisit = b in bound
+        dst = f"_w{i}" if revisit else f"v{b}"
+        cond = [
+            f"_u{i} = v{a}",
+            f"ts{i} > te{i - 1}",  # strict time order
+            f"te{i} - ts0 <= {d}",  # running duration
+        ]
+        if revisit:
+            cond.append(f"{dst} = v{b}")
+        on = F.expr(" AND ".join(cond))
+        out = out.join(step(i, f"_u{i}", dst), on=on, how="inner")
+        out = out.drop(f"_u{i}", dst) if revisit else out.drop(f"_u{i}")
+        bound.add(b)
         frames.append(out)
     return frames
 
@@ -152,10 +154,10 @@ def candidate_instances_join(
     them quantifies the blow-up relative to the final maximal instances.
     """
     out = _cascade(intervals(edges, delta, phi), motif, delta)[-1]
-    for i in range(motif.n_nodes):
-        for j in range(i + 1, motif.n_nodes):
-            out = out.filter(F.col(f"v{i}") != F.col(f"v{j}"))
-    return out
+    n = motif.n_nodes
+    return out.filter(
+        " AND ".join(f"v{i} <> v{j}" for i in range(n) for j in range(i + 1, n))
+    )
 
 
 def join_intermediate_counts(
@@ -186,32 +188,25 @@ def find_instances_join(
     # Definition 3.3 as a Catalyst predicate: an instance survives iff no
     # edge-set can absorb its neighbouring element. Middle edges are bounded
     # by the adjacent edge-sets; the first/last edge by the duration delta.
-    extendable = F.lit(False)
+    d = f"{float(delta)!r}D"
+    extendable = []
     for i in range(m):
-        if i == 0:
-            front = F.col(f"te{m-1}") - F.col(f"prev{i}") <= F.lit(delta)
-        else:
-            front = F.col(f"prev{i}") > F.col(f"te{i-1}")
-        if i == m - 1:
-            back = F.col(f"next{i}") - F.col("ts0") <= F.lit(delta)
-        else:
-            back = F.col(f"next{i}") < F.col(f"ts{i+1}")
-        extendable = (
-            extendable
-            | (F.col(f"prev{i}").isNotNull() & front)
-            | (F.col(f"next{i}").isNotNull() & back)
-        )
-    out = out.filter(~extendable)
+        front = f"te{m - 1} - prev{i} <= {d}" if i == 0 else f"prev{i} > te{i - 1}"
+        back = f"next{i} - ts0 <= {d}" if i == m - 1 else f"next{i} < ts{i + 1}"
+        extendable += [
+            f"(prev{i} IS NOT NULL AND {front})",
+            f"(next{i} IS NOT NULL AND {back})",
+        ]
+    out = out.filter(f"NOT ({' OR '.join(extendable)})")
 
-    flow = F.least(*[F.col(f"f{i}") for i in range(m)])
     keep = node_columns(motif) + [
         c for i in range(m) for c in (f"ts{i}", f"te{i}", f"f{i}")
     ]
-    return out.select(
+    return out.selectExpr(
         *keep,
-        flow.alias("flow"),
-        F.col("ts0").alias("t_start"),
-        F.col(f"te{m-1}").alias("t_end"),
+        f"least({', '.join(f'f{i}' for i in range(m))}) AS flow",
+        "ts0 AS t_start",
+        f"te{m - 1} AS t_end",
     )
 
 

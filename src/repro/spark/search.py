@@ -12,7 +12,7 @@ One plan per query, all DataFrame-level until the per-match kernel:
 3. **P2** — one ``mapInPandas`` driver runs the pure-Python per-match kernel
    (Algorithm 1, the top-k heap, or the Algorithm 2 DP) on executor-side
    Arrow batches; counts, top-k flows and max flows come back as per-batch
-   aggregates, instances as rows.
+   aggregates (a few rows, combined on the driver), instances as rows.
 
 The per-match kernel is inherently sequential/recursive, which is why P2 is
 a DataFrame -> DataFrame transformation over grouped data rather than a
@@ -53,10 +53,11 @@ def matches_with_series(
 ) -> DataFrame:
     """P1 over G_T: structural matches with every motif edge's series.
 
-    Output columns: ``v0..v{n-1}``, then ``ts{i}``/``fs{i}`` for each motif
-    edge i. Without ``delta`` there is one row per structural match; with
-    it, matches that cannot hold an instance of duration <= delta are
-    pruned in the join chain.
+    Output columns: ``v0..v{n-1}``, then ``ts{i}``/``fs{i}`` (and ``{c}s{i}``
+    for any further column ``c`` of ``edges``) for each motif edge i.
+    Without ``delta`` there is one row per structural match; with it,
+    matches that cannot hold an instance of duration <= delta are pruned in
+    the join chain.
     """
     return structural_matches_df(timeseries_graph(edges), motif, delta=delta)
 
@@ -105,7 +106,7 @@ def match_series(row, m: int) -> list[Series]:
     return [Series(zip(row[f"ts{i}"], row[f"fs{i}"])) for i in range(m)]
 
 
-def _p2(
+def p2(
     edges: DataFrame,
     motif: Motif,
     delta: float,
@@ -116,6 +117,8 @@ def _p2(
 
     The input is :func:`matches_with_series` pruned by ``delta``; each match
     reaches ``per_batch`` as its row and its per-edge :class:`Series` list.
+    Any further column of ``edges`` rides along in the row, per motif edge
+    (see :func:`repro.spark.graph.timeseries_graph`).
     """
     m = motif.m
 
@@ -159,7 +162,7 @@ def find_instances(
                     repr(windows),
                 )
 
-    return _p2(edges, motif, delta, per_batch, _instances_schema(motif))
+    return p2(edges, motif, delta, per_batch, _instances_schema(motif))
 
 
 def count_instances(
@@ -170,10 +173,10 @@ def count_instances(
     def per_batch(matches: Iterator[_Match]) -> list[tuple]:
         return [(sum(len(enumerate_instances(s, delta, phi)) for _, s in matches),)]
 
-    out = _p2(
+    out = p2(
         edges, motif, delta, per_batch, StructType([StructField("n", LongType())])
     )
-    return int(out.agg(F.sum("n")).collect()[0][0] or 0)
+    return sum(r.n for r in out.collect())
 
 
 def topk_flows(
@@ -195,7 +198,7 @@ def topk_flows(
             topk_scan_match(series, delta, heap)
         return [(f,) for f in heap.flows()]
 
-    out = _p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
+    out = p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
     return [
         r.flow for r in out.orderBy(F.desc("flow")).limit(k).collect()
     ]
@@ -207,5 +210,5 @@ def max_flow(edges: DataFrame, motif: Motif, delta: float) -> float:
     def per_batch(matches: Iterator[_Match]) -> list[tuple]:
         return [(max((dp_max_flow(s, delta) for _, s in matches), default=0.0),)]
 
-    out = _p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
-    return float(out.agg(F.max("flow")).collect()[0][0] or 0.0)
+    out = p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
+    return max((r.flow for r in out.collect()), default=0.0)

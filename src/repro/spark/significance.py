@@ -8,49 +8,92 @@ real instance count exceeds the randomized counts — quantified by the
 z-score z_M = (r_M - mu_M) / sigma_M over R random graphs. When every
 random count is the same (sigma_M = 0, always so for R = 1), z_M is +inf or
 -inf by the sign of r_M - mu_M, and 0 when they are equal.
+
+Because only flows change, the R + 1 graphs share G_T's grouping, the
+delta-pruned P1 matches and every delta-window, and :func:`significance`
+runs one plan for all of them. The driver collects the interactions once,
+checks the input contract on them, draws the R seeded permutations and
+attaches the permuted flows to each interaction as one ``fr`` array (R
+doubles); G_T then carries ``frs`` aligned with ``ts``, P1 runs once, and
+the P2 kernel counts every match R + 1 times (real flows ``fs``, then
+column r of ``frs``). The driver holds O(n * (R + 1)) flows for n
+interactions, as many doubles as the R permuted edge lists it replaces.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
+from pyspark.sql.types import (
+    ArrayType,
+    DoubleType,
+    IntegerType,
+    LongType,
+    StructField,
+    StructType,
+)
 
+from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
-from repro.spark.search import count_instances
+from repro.spark.search import p2
 
 #: Deterministic row order used to index interactions before permuting.
-_ORDER = ("t", "src", "dst")
+_ORDER = ["t", "src", "dst"]
+
+_COUNTS_SCHEMA = StructType(
+    [StructField("r", IntegerType()), StructField("n", LongType())]
+)
+
+
+def _sorted_interactions(edges: DataFrame) -> pd.DataFrame:
+    """``edges`` on the driver, sorted by ``(t, src, dst)``, with the input
+    contract checked: no duplicate ``(src, dst, t)`` (it would make the
+    permutation order ambiguous) and every flow non-null, finite and > 0.
+    Raises ``ValueError`` on a violation."""
+    pdf = edges.select("src", "dst", "t", "f").toPandas()
+    dup = pdf.duplicated(["src", "dst", "t"], keep=False)
+    if dup.any():
+        raise ValueError(
+            f"{int(dup.sum())} interactions share a (src, dst, t), e.g. "
+            f"{pdf[dup].iloc[0].to_dict()}; timestamps must be unique per pair"
+        )
+    f = pdf["f"].to_numpy(dtype=float, na_value=np.nan)
+    bad = ~(np.isfinite(f) & (f > 0))
+    if bad.any():
+        raise ValueError(
+            f"{int(bad.sum())} interactions have a null, NaN, infinite or "
+            f"non-positive flow, e.g. {pdf[bad].iloc[0].to_dict()}; "
+            "flows must be finite and > 0"
+        )
+    return pdf.sort_values(_ORDER, ignore_index=True)
+
+
+def _permuted_flows(f: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+    """Column j holds ``f`` permuted by ``default_rng(seeds[j])``: entry i
+    is the flow of interaction ``perm[i]`` in the same order as ``f``."""
+    n = len(f)
+    return np.column_stack(
+        [f[np.random.default_rng(s).permutation(n)] for s in seeds]
+    )
 
 
 def permute_flows(edges: DataFrame, seed: int) -> DataFrame:
     """Random graph G_r: same (src, dst, t) skeleton, permuted flows.
 
     The permutation is drawn on the driver from a seeded NumPy generator
-    and applied via a rid -> rid join, so the result is deterministic
-    regardless of Spark partitioning (F.rand() is not).
+    over the interactions sorted by ``(t, src, dst)``, so the result is
+    deterministic regardless of Spark partitioning (F.rand() is not).
+    Raises ``ValueError`` when ``edges`` breaks the input contract (see
+    :func:`significance`).
     """
-    n = edges.count()
-    perm = np.random.default_rng(seed).permutation(n)
-    spark = edges.sparkSession
-    mapping = spark.createDataFrame(
-        pd.DataFrame(
-            {"rid": np.arange(1, n + 1, dtype=np.int64),
-             "take_rid": (perm + 1).astype(np.int64)}
-        )
-    )
-    w = Window.orderBy(*_ORDER)
-    with_rid = edges.withColumn("rid", F.row_number().over(w))
-    flows = with_rid.select(F.col("rid").alias("take_rid"), F.col("f").alias("f_new"))
-    return (
-        with_rid.drop("f")
-        .join(mapping, on="rid")
-        .join(flows, on="take_rid")
-        .select("src", "dst", "t", F.col("f_new").alias("f"))
-    )
+    pdf = _sorted_interactions(edges)
+    pdf["f"] = _permuted_flows(pdf["f"].to_numpy(), [seed])[:, 0]
+    schema = edges.select("src", "dst", "t", "f").schema
+    return edges.sparkSession.createDataFrame(pdf, schema=schema)
 
 
 @dataclass(frozen=True)
@@ -72,22 +115,42 @@ def significance(
     delta: float,
     phi: float,
     *,
-    n_random: int = 5,
+    n_random: int = 20,
     seed: int = 0,
 ) -> SignificanceResult:
     """Real vs randomized instance counts and the z-score for one motif.
 
-    The paper uses 20 random graphs; ``n_random`` defaults to 5 for
-    runtime (EXPERIMENTS.md reports which value each run used). Raises
-    ``ValueError`` unless ``n_random >= 1``.
+    Random graph r (0 <= r < ``n_random``; the paper uses 20) is
+    ``permute_flows(edges, seed * 1000 + r)``, and all of them are counted
+    in one plan with the real graph. Raises ``ValueError`` unless
+    ``n_random >= 1``, and when ``edges`` has a duplicate ``(src, dst, t)``
+    or a null, NaN, infinite or non-positive flow.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
-    real = count_instances(edges, motif, delta, phi)
-    counts = []
-    for r in range(n_random):
-        g_r = permute_flows(edges, seed=seed * 1000 + r)
-        counts.append(count_instances(g_r, motif, delta, phi))
+    pdf = _sorted_interactions(edges)
+    seeds = [seed * 1000 + r for r in range(n_random)]
+    pdf["fr"] = _permuted_flows(pdf["f"].to_numpy(), seeds).tolist()
+    schema = edges.select("src", "dst", "t", "f").schema
+    schema = schema.add("fr", ArrayType(DoubleType()))
+    flows = edges.sparkSession.createDataFrame(pdf, schema=schema)
+    m = motif.m
+
+    def per_batch(matches: Iterator[tuple[dict, list[Series]]]) -> list[tuple]:
+        counts = [0] * (n_random + 1)
+        for rd, series in matches:
+            counts[0] += len(enumerate_instances(series, delta, phi))
+            ts = [rd[f"ts{i}"] for i in range(m)]
+            frs = [np.stack(rd[f"frs{i}"]) for i in range(m)]
+            for r in range(n_random):
+                permuted = [Series(zip(t, fr[:, r])) for t, fr in zip(ts, frs)]
+                counts[r + 1] += len(enumerate_instances(permuted, delta, phi))
+        return list(enumerate(counts))
+
+    totals = [0] * (n_random + 1)
+    for r, n in p2(flows, motif, delta, per_batch, _COUNTS_SCHEMA).collect():
+        totals[r] += n
+    real, counts = totals[0], totals[1:]
     mu = float(np.mean(counts))
     sigma = float(np.std(counts))
     if sigma > 0:

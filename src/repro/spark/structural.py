@@ -48,43 +48,34 @@ def structural_matches_df(
     path = motif.path
     extra = [c for c in table.columns if c not in ("src", "dst")]
 
-    def step(i: int, src: str, dst: str) -> DataFrame:
-        return table.select(
-            F.col("src").alias(src),
-            F.col("dst").alias(dst),
-            *[F.col(c).alias(f"{c}{i}") for c in extra],
+    # Columns and conditions are SQL text: every Column call is a round trip
+    # to the JVM, and a query would otherwise spend tens of milliseconds
+    # building them.
+    def step(i: int) -> DataFrame:
+        return table.selectExpr(
+            f"src AS _s{i}", f"dst AS _d{i}", *[f"`{c}` AS `{c}{i}`" for c in extra]
         )
 
-    out = step(0, f"v{path[0]}", f"v{path[1]}").filter(
-        F.col(f"v{path[0]}") != F.col(f"v{path[1]}")
-    )
-    bound = [path[0], path[1]]
+    # motif node -> the step column that first bound it
+    bound = {path[0]: "_s0", path[1]: "_d0"}
+    out = step(0).filter("_s0 <> _d0")
     for i in range(1, motif.m):
         a, b = path[i], path[i + 1]
-        cond = F.col(f"v{a}") == F.col("_sa")
+        cond = [f"{bound[a]} = _s{i}"]
         if b in bound:
-            cond &= F.col("_sb") == F.col(f"v{b}")
-        else:
-            for v in bound:  # Definition 3.2's bijection
-                cond &= F.col("_sb") != F.col(f"v{v}")
+            cond.append(f"_d{i} = {bound[b]}")
+        else:  # Definition 3.2's bijection
+            cond += [f"_d{i} <> {c}" for c in bound.values()]
+            bound[b] = f"_d{i}"
         if delta is not None:
-            prev = F.col(f"ts{i - 1}")
-            cond &= F.exists(
-                F.col(f"ts{i}"),
-                lambda x: F.exists(
-                    prev, lambda y: (x > y) & (x - y <= F.lit(float(delta)))
-                ),
+            d = f"{float(delta)!r}D"  # repr round-trips: the exact double
+            cond.append(
+                f"exists(ts{i}, x -> exists(ts{i - 1}, y -> x > y AND x - y <= {d}))"
             )
-        out = out.join(step(i, "_sa", "_sb"), on=cond, how="inner")
-        if b in bound:
-            out = out.drop("_sb")
-        else:
-            out = out.withColumnRenamed("_sb", f"v{b}")
-            bound.append(b)
-        out = out.drop("_sa")
-    return out.select(
-        *node_columns(motif),
-        *[f"{c}{i}" for i in range(motif.m) for c in extra],
+        out = out.join(step(i), on=F.expr(" AND ".join(cond)), how="inner")
+    return out.selectExpr(
+        *[f"{bound[k]} AS {v}" for k, v in enumerate(node_columns(motif))],
+        *[f"`{c}{i}`" for i in range(motif.m) for c in extra],
     )
 
 

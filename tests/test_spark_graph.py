@@ -30,6 +30,19 @@ class TestTimeseriesGraph:
         assert list(row.ts) == [13.0, 14.0, 15.0]
         assert list(row.fs) == [5.0, 1.0, 7.0]
 
+    def test_further_columns_aligned_with_ts(self, spark):
+        """Any column besides src/dst/t becomes an array aligned with ts,
+        named with an ``s`` suffix (significance carries permuted flows)."""
+        df = spark.createDataFrame(
+            [(1, 2, 15.0, 7.0, [1.0, 2.0]), (1, 2, 13.0, 5.0, [3.0, 4.0])],
+            schema="src long, dst long, t double, f double, fr array<double>",
+        )
+        row = timeseries_graph(df).collect()[0]
+        assert timeseries_graph(df).columns == ["src", "dst", "ts", "fs", "frs"]
+        assert list(row.ts) == [13.0, 15.0]
+        assert list(row.fs) == [5.0, 7.0]
+        assert [list(v) for v in row.frs] == [[3.0, 4.0], [1.0, 2.0]]
+
     def test_distinct_pairs(self, spark):
         pairs = distinct_pairs(to_spark_edges(spark, EDGES))
         assert {(r.src, r.dst) for r in pairs.collect()} == {

@@ -8,7 +8,7 @@ from repro.oracle import assert_equivalent
 from repro.spark import search as sp
 from repro.spark.graph import distinct_pairs
 from repro.spark.significance import SignificanceResult, permute_flows, significance
-from tests.conftest import random_edges, to_spark_edges
+from tests.conftest import SCHEMA, random_edges, to_spark_edges
 
 
 class TestPermuteFlows:
@@ -136,3 +136,132 @@ class TestSignificance:
         )
         assert res.real_count > res.mean
         assert res.z_score > 0
+
+
+def _sorted_edge_list(df):
+    """A Spark edge frame as a list sorted by (t, src, dst), the order the
+    permutations index."""
+    return sorted(
+        ((r.src, r.dst, r.t, r.f) for r in df.collect()),
+        key=lambda e: (e[2], e[0], e[1]),
+    )
+
+
+class TestSinglePassExact:
+    """The one-plan significance equals counting each permuted graph on its
+    own, permutation by permutation."""
+
+    @pytest.fixture(params=["bitcoin", "random"])
+    def case(self, request, spark, bitcoin_small):
+        """(edges, delta, phi): bitcoin's 4-dp log-normal flows at its
+        default delta/phi, and a small integer-flow random graph."""
+        if request.param == "bitcoin":
+            from repro.networks.generators import SPECS
+
+            spec = SPECS["bitcoin"]
+            return bitcoin_small, spec.delta_default, spec.phi_default
+        edges = to_spark_edges(spark, random_edges(7, n_nodes=6, n_edges=40))
+        return edges, 12.0, 10.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_per_permutation_counts(self, case, seed):
+        edges, delta, phi = case
+        motif = MOTIFS["M(3,2)"]
+        per_r = tuple(
+            sp.count_instances(
+                permute_flows(edges, seed * 1000 + r), motif, delta, phi
+            )
+            for r in range(3)
+        )
+        real = sp.count_instances(edges, motif, delta, phi)
+        for n_random in (1, 3):
+            res = significance(edges, motif, delta, phi, n_random=n_random, seed=seed)
+            assert res.real_count == real
+            assert res.random_counts == per_r[:n_random]
+
+    def test_equals_pure_python_on_numpy_permutation(self, bitcoin_small):
+        """Spark is not the only judge: permute the sorted edge list with
+        NumPy and count it with ``core.search.count_graph``."""
+        import numpy as np
+
+        from repro.core.search import count_graph
+        from repro.networks.generators import SPECS
+
+        spec = SPECS["bitcoin"]
+        delta, phi = spec.delta_default, spec.phi_default
+        motif, seed = MOTIFS["M(3,2)"], 1
+        edges = _sorted_edge_list(bitcoin_small)
+        flows = [e[3] for e in edges]
+        expected = []
+        for r in range(3):
+            perm = np.random.default_rng(seed * 1000 + r).permutation(len(edges))
+            permuted = [e[:3] + (flows[j],) for e, j in zip(edges, perm)]
+            expected.append(count_graph(permuted, motif, delta, phi))
+        res = significance(bitcoin_small, motif, delta, phi, n_random=3, seed=seed)
+        assert res.real_count == count_graph(edges, motif, delta, phi)
+        assert res.random_counts == tuple(expected)
+        assert len(set(expected)) > 1  # the permutations really differ
+
+    def test_same_without_arrow_conversion(self, spark, case):
+        """A session without Arrow-based pandas conversion (the jobs' default)
+        builds the permuted-flow frame row by row; the counts are the same."""
+        edges, delta, phi = case
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        args = (edges, MOTIFS["M(3,2)"], delta, phi)
+        with_arrow = significance(*args, n_random=2)
+        spark.conf.set(key, "false")
+        try:
+            assert significance(*args, n_random=2) == with_arrow
+        finally:
+            spark.conf.set(key, "true")
+
+
+def test_one_plan_for_any_n_random(spark, passenger_small):
+    """The Spark job count does not grow with the number of permutations,
+    so the random graphs are not counted one plan at a time."""
+    from repro.networks.generators import SPECS
+
+    sc = spark.sparkContext
+    spec = SPECS["passenger"]
+    jobs = {}
+    try:
+        for n_random in (1, 5):
+            group = f"significance-jobs-{n_random}"
+            sc.setJobGroup(group, group)
+            significance(
+                passenger_small,
+                MOTIFS["M(3,2)"],
+                spec.delta_default,
+                spec.phi_default,
+                n_random=n_random,
+            )
+            jobs[n_random] = len(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        for key in ("jobGroup.id", "job.description", "job.interruptOnCancel"):
+            sc.setLocalProperty(f"spark.{key}", None)
+    assert jobs[1] > 0
+    assert jobs[1] == jobs[5]
+
+
+class TestInputContract:
+    """``significance`` checks its input on the driver before any counting."""
+
+    BASE = [(0, 1, 1.0, 2.0), (1, 2, 2.0, 3.0), (0, 1, 3.0, 4.0)]
+
+    def _significance(self, spark, edges):
+        df = spark.createDataFrame(edges, schema=SCHEMA)
+        return significance(df, MOTIFS["M(3,2)"], delta=10.0, phi=1.0, n_random=2)
+
+    def test_valid_input_accepted(self, spark):
+        assert self._significance(spark, self.BASE).real_count == 1
+
+    def test_duplicate_interaction_rejected(self, spark):
+        with pytest.raises(ValueError, match=r"share a \(src, dst, t\)"):
+            self._significance(spark, self.BASE + [(0, 1, 1.0, 5.0)])
+
+    @pytest.mark.parametrize(
+        "f", [None, float("nan"), float("inf"), float("-inf"), 0.0, -1.5]
+    )
+    def test_bad_flow_rejected(self, spark, f):
+        with pytest.raises(ValueError, match="null, NaN, infinite or non-positive"):
+            self._significance(spark, self.BASE + [(2, 0, 4.0, f)])
