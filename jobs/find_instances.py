@@ -9,7 +9,7 @@ import argparse
 
 from pyspark.sql import SparkSession
 
-from repro import experiments, synth_data
+from repro import experiments
 from repro.core.motif import MOTIFS
 from repro.networks.generators import DATASETS
 from repro.spark import search as sp
@@ -29,7 +29,7 @@ def main() -> None:
     args = ap.parse_args()
 
     spark = SparkSession.builder.appName("find_instances").getOrCreate()
-    edges = synth_data.interactions(spark, args.dataset, sf=args.sf, seed=args.seed)
+    edges = experiments.load(spark, args.dataset, sf=args.sf, seed=args.seed)
     d_def, p_def = experiments.defaults(args.dataset)
     delta = args.delta if args.delta is not None else d_def
     phi = args.phi if args.phi is not None else p_def

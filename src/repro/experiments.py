@@ -21,7 +21,6 @@ from typing import Callable, Iterator, Sequence
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro import synth_data
 from repro.core.dp import max_flow as dp_max_flow
 from repro.core.motif import MOTIF_ORDER, MOTIFS, Motif
 from repro.core.topk import topk_flows
@@ -71,11 +70,15 @@ _LOAD_CACHE: dict[tuple, DataFrame] = {}
 
 
 def load(spark: SparkSession, kind: str, *, sf: float = DEFAULT_SF, seed: int = 0) -> DataFrame:
-    """Cached Spark DataFrame of one synthetic network (memoized per session
-    so repeated harness calls reuse the same cached RDD)."""
+    """One synthetic network as a cached Spark DataFrame (src long, dst long,
+    t double, f double): the input multigraph G(V, E) (DESIGN.md § 3).
+
+    Memoized per ``(kind, sf, seed)`` so repeated harness calls reuse the
+    same cached RDD.
+    """
     key = (kind, sf, seed)
     if key not in _LOAD_CACHE:
-        _LOAD_CACHE[key] = synth_data.interactions(spark, kind, sf=sf, seed=seed).cache()
+        _LOAD_CACHE[key] = spark.createDataFrame(generate(kind, sf=sf, seed=seed)).cache()
     return _LOAD_CACHE[key]
 
 

@@ -9,6 +9,19 @@ order between consecutive motif edges, running duration bound, and the
 Definition 3.2 vertex bijection — exactly the paper's merge-join cascade,
 expressed as one Catalyst join plan.
 
+The quintuples are one Catalyst projection over G_T built from SQL array
+functions (:func:`intervals`); no Python runs on the executors. For the
+element at position i with timestamp a, the interval ends j are the
+positions j >= i with ``ts[j] - a <= delta``. Those form a contiguous run
+starting at i (a prefix of ``ts[i:]``): ``ts`` is sorted and IEEE
+subtraction rounds monotonically, so ``ts[j] - a`` never decreases in j
+(DESIGN.md § 2.1). Each interval's flow is ``aggregate`` over
+``fs[i..j]`` from left to right: the same additions in the same order as
+the Definition 3.2 brute force (``repro.core.bruteforce``), so ``f`` and
+the ``f >= phi`` test match it bit for bit. A difference of float prefix
+sums would be cheaper per interval, but it is not exact (ROADMAP Open
+item 2).
+
 The paper's description stops at candidate construction; to produce the
 same *maximal* instance set as the two-phase algorithm we attach to each
 interval the timestamps of the pair's elements immediately before/after it
@@ -19,67 +32,42 @@ intermediate-result blow-up that makes this slower, as in the paper.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.motif import Motif
 from repro.spark.graph import timeseries_graph
-from repro.spark.search import typed_frame
 from repro.spark.structural import node_columns
-
-_INTERVAL_SCHEMA = StructType(
-    [
-        StructField("src", LongType()),
-        StructField("dst", LongType()),
-        StructField("ts", DoubleType()),
-        StructField("te", DoubleType()),
-        StructField("f", DoubleType()),
-        StructField("prev_t", DoubleType()),  # element just before ts, if any
-        StructField("next_t", DoubleType()),  # element just after te, if any
-    ]
-)
 
 
 def intervals(edges: DataFrame, delta: float, phi: float) -> DataFrame:
     """All per-pair time-intervals of span <= delta with flow >= phi.
 
-    One row per contiguous run of a pair's interaction series;
-    ``prev_t``/``next_t`` carry the neighbouring element timestamps used by
-    the final maximality filter (null at the series boundary).
+    One row per contiguous run of a pair's interaction series:
+    ``src, dst, ts, te, f, prev_t, next_t``, where ``prev_t``/``next_t``
+    carry the neighbouring element timestamps used by the final maximality
+    filter (null at the series boundary).
     """
-    ts_graph = timeseries_graph(edges)
-
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            rows: list[tuple] = []
-            for row in pdf.itertuples(index=False):
-                ts, fs = list(row.ts), list(row.fs)
-                n = len(ts)
-                for i in range(n):
-                    acc = 0.0
-                    for j in range(i, n):
-                        if ts[j] - ts[i] > delta:
-                            break
-                        acc += fs[j]
-                        if acc >= phi:
-                            rows.append(
-                                (
-                                    int(row.src),
-                                    int(row.dst),
-                                    float(ts[i]),
-                                    float(ts[j]),
-                                    float(acc),
-                                    float(ts[i - 1]) if i > 0 else None,
-                                    float(ts[j + 1]) if j + 1 < n else None,
-                                )
-                            )
-            yield typed_frame(_INTERVAL_SCHEMA, rows)
-
-    return ts_graph.mapInPandas(kernel, schema=_INTERVAL_SCHEMA)
+    d = f"{float(delta)!r}D"  # repr round-trips: the exact double
+    p = f"{float(phi)!r}D"
+    return (
+        timeseries_graph(edges)
+        .selectExpr("src", "dst", "ts", "fs", "posexplode(ts) AS (i, a)")
+        .selectExpr(
+            "*",
+            f"explode(filter(sequence(i, size(ts) - 1), k -> ts[k] - a <= {d})) AS j",
+        )
+        .selectExpr(
+            "src",
+            "dst",
+            "a AS ts",
+            "ts[j] AS te",
+            "aggregate(slice(fs, i + 1, j - i + 1), 0D, (s, x) -> s + x) AS f",
+            "get(ts, i - 1) AS prev_t",
+            "get(ts, j + 1) AS next_t",
+        )
+        .filter(f"f >= {p}")
+    )
 
 
 def intervals_sql(delta: float, phi: float, table: str = "edges") -> str:

@@ -85,7 +85,7 @@ _PD_DTYPES = {
 }
 
 
-def typed_frame(schema: StructType, rows: list[tuple]) -> pd.DataFrame:
+def _typed_frame(schema: StructType, rows: list[tuple]) -> pd.DataFrame:
     """Rows -> pandas frame with the schema's dtypes, for a ``mapInPandas``
     kernel to yield.
 
@@ -128,7 +128,7 @@ def p2(
                 (rd, match_series(rd, m))
                 for rd in (row._asdict() for row in pdf.itertuples(index=False))
             )
-            yield typed_frame(schema, list(per_batch(matches)))
+            yield _typed_frame(schema, list(per_batch(matches)))
 
     return matches_with_series(edges, motif, delta).mapInPandas(kernel, schema=schema)
 

@@ -66,13 +66,13 @@ def spark_instance_set(df, n_nodes: int):
 
 @pytest.fixture(scope="session")
 def bitcoin_small(spark):
-    from repro import synth_data
+    from repro import experiments
 
-    return synth_data.interactions(spark, "bitcoin", sf=0.15, seed=0).cache()
+    return experiments.load(spark, "bitcoin", sf=0.15, seed=0)
 
 
 @pytest.fixture(scope="session")
 def passenger_small(spark):
-    from repro import synth_data
+    from repro import experiments
 
-    return synth_data.interactions(spark, "passenger", sf=0.5, seed=0).cache()
+    return experiments.load(spark, "passenger", sf=0.5, seed=0)

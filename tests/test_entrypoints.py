@@ -1,4 +1,5 @@
-"""Every ``jobs/*.py`` module imports cleanly.
+"""Every ``jobs/*.py`` module imports cleanly, and ``src/repro`` keeps one
+executor-side Python kernel.
 
 Tier-1 runs no job, so this is what catches one that still
 imports or uses a deleted name. Importing must not start Spark: entrypoint
@@ -16,6 +17,7 @@ from repro import experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 JOBS = sorted(ROOT.glob("jobs/*.py"))
+SRC = ROOT / "src" / "repro"
 
 
 def load_job(path: Path):
@@ -30,7 +32,7 @@ def test_module_imports_without_spark(path):
     before = SparkContext._active_spark_context
     mod = load_job(path)
     assert SparkContext._active_spark_context is before
-    # ``alias.name`` uses (e.g. ``synth_data.interactions`` inside main())
+    # ``alias.name`` uses (e.g. ``experiments.load`` inside main())
     # are only resolved when the code runs; check them against the module.
     missing = []
     for node in ast.walk(ast.parse(path.read_text())):
@@ -54,3 +56,17 @@ def test_run_experiments_names_every_harness():
     }
     assert len(names) == len(set(names))
     assert set(names) == harnesses
+
+
+def test_python_kernels_only_in_p2_driver():
+    """``mapInPandas``/``applyInPandas`` run Python on the executors; the one
+    P2 driver, ``repro.spark.search.p2``, is the only place allowed to."""
+    callers = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "mapInPandas",
+                "applyInPandas",
+            ):
+                callers.add(path.relative_to(SRC).as_posix())
+    assert callers == {"spark/search.py"}

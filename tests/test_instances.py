@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from repro.core import bruteforce as bf
 from repro.core.instances import (
     Series,
     count_instances,
@@ -174,3 +175,26 @@ def test_determinism():
     a = enumerate_instances(series, delta=6, phi=0)
     b = enumerate_instances(series, delta=6, phi=0)
     assert [i.ranges for i in a] == [i.ranges for i in b]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Series.range_sum subtracts float prefix sums, so the last "
+    "element's flow 3.805 reads as 3.8049999999999997 (ROADMAP Open item 2)",
+)
+def test_float_phi_matches_definition():
+    """Open defect: the flow of an edge-set equal to phi in exact
+    arithmetic must pass the phi check, as in the Definition 3.2 brute
+    force. When the fix lands, this test passes and ``strict`` fails it
+    until the xfail mark is removed."""
+    series = [
+        Series([(0, 6.22), (1, 2.843), (2, 1.8), (3, 3.805)]),
+        Series([(3.5, 5.0)]),
+    ]
+    expected = bf.maximal_instances(series, delta=1, phi=3.805)
+    assert expected == {((3,), (0,))}
+    got = {
+        bf.ranges_to_idxsets(inst.ranges)
+        for inst in enumerate_instances(series, delta=1, phi=3.805)
+    }
+    assert got == expected

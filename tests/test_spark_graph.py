@@ -1,7 +1,7 @@
 """Spark graph layer: time-series graph construction and Table 3 stats."""
 import pytest
 
-from repro import synth_data
+from repro import experiments
 from repro.oracle import assert_equivalent
 from repro.spark.graph import STATS_SQL, dataset_stats, distinct_pairs, timeseries_graph
 from tests.conftest import to_spark_edges
@@ -72,7 +72,7 @@ class TestDatasetStats:
 
     @pytest.mark.parametrize("kind", ["bitcoin", "facebook", "passenger"])
     def test_stats_generated_oracle(self, spark, kind):
-        edges = synth_data.interactions(spark, kind, sf=0.1, seed=1)
+        edges = experiments.load(spark, kind, sf=0.1, seed=1)
         assert_equivalent(dataset_stats(spark, edges), STATS_SQL, edges=edges)
 
     def test_stats_match_pandas_generator_stats(self, spark):

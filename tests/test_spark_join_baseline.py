@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core.motif import MOTIFS
+from repro.networks.generators import SPECS
 from repro.oracle import assert_equivalent
 from repro.spark import search as sp
 from repro.spark.join_baseline import (
@@ -75,6 +76,57 @@ class TestIntervals:
         assert r.prev_t is None and r.next_t == 15.0
 
 
+def reference_intervals(ts, fs, delta, phi):
+    """Reference for :func:`intervals` over one pair's time-sorted series:
+    every run ``ts[i..j]`` with span <= delta and flow >= phi, as
+    ``(ts, te, f, prev_t, next_t)``, with flows summed left to right."""
+    n = len(ts)
+    out = []
+    for i in range(n):
+        acc = 0.0
+        for j in range(i, n):
+            if ts[j] - ts[i] > delta:
+                break
+            acc += fs[j]
+            if acc >= phi:
+                prev_t = ts[i - 1] if i > 0 else None
+                next_t = ts[j + 1] if j + 1 < n else None
+                out.append((ts[i], ts[j], acc, prev_t, next_t))
+    return out
+
+
+class TestExactIntervals:
+    """``intervals`` equals the reference loop on every column, unrounded
+    (``assert_equivalent`` rounds ``f`` and does not see ``prev_t``/``next_t``)."""
+
+    @pytest.mark.parametrize(
+        "scale", [(1.0, 1.0), (2.0, 0.0), (0.5, 2.0)], ids=["x1-x1", "x2-x0", "x0.5-x2"]
+    )
+    @pytest.mark.parametrize("kind", ["bitcoin", "passenger"])
+    def test_equals_reference_loop(self, request, kind, scale):
+        edges = request.getfixturevalue(f"{kind}_small")
+        spec = SPECS[kind]
+        delta, phi = scale[0] * spec.delta_default, scale[1] * spec.phi_default
+        expected = []
+        pdf = edges.toPandas().sort_values("t")
+        for (src, dst), g in pdf.groupby(["src", "dst"]):
+            ts, fs = g.t.tolist(), g.f.tolist()
+            for row in reference_intervals(ts, fs, delta, phi):
+                expected.append((int(src), int(dst)) + row)
+        got = [tuple(r) for r in intervals(edges, delta, phi).collect()]
+        assert len(expected) > 0
+        # (src, dst, ts, te) is unique, so sorting never compares the NULLs
+        assert sorted(got) == sorted(expected)
+
+    def test_zero_delta_gives_singletons(self, passenger_small):
+        rows = intervals(passenger_small, 0.0, 0.0).collect()
+        assert all(r.ts == r.te for r in rows)
+        assert len(rows) == passenger_small.count()
+
+    def test_negative_delta_gives_no_rows(self, passenger_small):
+        assert intervals(passenger_small, -1.0, 0.0).count() == 0
+
+
 def join_instance_set(df, motif):
     out = set()
     for row in df.collect():
@@ -121,18 +173,15 @@ class TestEqualityWithTwoPhase:
         )
         assert got == expected
 
-    def test_generated_dataset_count(self, passenger_small):
-        from repro.networks.generators import SPECS
-
-        motif = MOTIFS["M(3,2)"]
-        spec = SPECS["passenger"]
-        a = count_instances_join(
-            passenger_small, motif, spec.delta_default, spec.phi_default
-        )
-        b = sp.count_instances(
-            passenger_small, motif, spec.delta_default, spec.phi_default
-        )
-        assert a == b > 0
+    @pytest.mark.parametrize("kind", ["passenger", "bitcoin"])
+    def test_generated_dataset_count(self, request, kind):
+        # bitcoin's flows are 4-dp floats; passenger's are integers
+        edges = request.getfixturevalue(f"{kind}_small")
+        delta, phi = SPECS[kind].delta_default, SPECS[kind].phi_default
+        for name in ("M(3,2)", "M(4,3)"):
+            a = count_instances_join(edges, MOTIFS[name], delta, phi)
+            b = sp.count_instances(edges, MOTIFS[name], delta, phi)
+            assert a == b > 0, name
 
 
 class TestIntermediateInstrumentation:
