@@ -28,6 +28,16 @@ def _nonempty_subsets(n: int) -> list[tuple[int, ...]]:
     ]
 
 
+def _flow(r: Series, s: tuple[int, ...]) -> float:
+    """Flow of edge-set ``s`` of ``r``: an explicit left fold, as
+    Definition 3.2's sum is computed everywhere (DESIGN.md § 2.2). Builtin
+    ``sum()`` compensates float rounding since Python 3.12."""
+    acc = 0.0
+    for j in s:
+        acc += r.fs[j]
+    return acc
+
+
 def _valid(series: Sequence[Series], sets: IdxSets, delta: float, phi: float) -> bool:
     times = [[series[i].ts[j] for j in s] for i, s in enumerate(sets)]
     # time-respecting between consecutive motif edges (transitively total)
@@ -38,7 +48,7 @@ def _valid(series: Sequence[Series], sets: IdxSets, delta: float, phi: float) ->
     if max(all_t) - min(all_t) > delta:
         return False
     for i, s in enumerate(sets):
-        if sum(series[i].fs[j] for j in s) < phi:
+        if _flow(series[i], s) < phi:
             return False
     return True
 
@@ -82,7 +92,7 @@ def maximal_instances(
 
 def instance_flow(series: Sequence[Series], sets: IdxSets) -> float:
     """Equation 1 on an index-set instance."""
-    return min(sum(series[i].fs[j] for j in s) for i, s in enumerate(sets))
+    return min(_flow(series[i], s) for i, s in enumerate(sets))
 
 
 def ranges_to_idxsets(ranges) -> IdxSets:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 NEG_INF = float("-inf")
@@ -33,11 +32,10 @@ class Series:
     """One edge's interaction time series ``R(u, v)``, sorted by time.
 
     Timestamps within a series are unique (the input multigraph annotates
-    every edge with a unique timestamp, paper § 3). Prefix sums give O(1)
-    range flow aggregation, the hot operation of Algorithm 1.
+    every edge with a unique timestamp, paper § 3).
     """
 
-    __slots__ = ("ts", "fs", "_cum")
+    __slots__ = ("ts", "fs")
 
     def __init__(self, pairs: Iterable[tuple[float, float]]) -> None:
         pts = sorted(pairs)
@@ -45,7 +43,6 @@ class Series:
         self.fs: tuple[float, ...] = tuple(f for _, f in pts)
         if len(set(self.ts)) != len(self.ts):
             raise ValueError("duplicate timestamps within one edge series")
-        self._cum: tuple[float, ...] = (0.0, *accumulate(self.fs))
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -53,13 +50,19 @@ class Series:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Series({list(zip(self.ts, self.fs))})"
 
-    def pairs(self) -> tuple[tuple[float, float], ...]:
-        """The series as (t, f) tuples, time-ordered."""
-        return tuple(zip(self.ts, self.fs))
-
     def range_sum(self, i: int, j: int) -> float:
-        """Total flow of elements ``i..j`` inclusive."""
-        return self._cum[j + 1] - self._cum[i]
+        """Total flow of elements ``i..j`` inclusive, summed left to right.
+
+        This is the one flow rule (DESIGN.md § 2.2): the brute force and the
+        join baseline add the same flows in the same order, so every phi
+        test agrees bit for bit. Not builtin ``sum()``: since Python 3.12 it
+        compensates float rounding, and a difference of prefix sums rounds
+        differently again.
+        """
+        acc = 0.0
+        for f in self.fs[i : j + 1]:
+            acc += f
+        return acc
 
     def first_after(self, t: float) -> int:
         """Index of the first element with timestamp strictly greater than t."""
@@ -120,23 +123,6 @@ def instance_flow(series: Sequence[Series], ranges: Ranges) -> float:
     return min(r.range_sum(s, e) for r, (s, e) in zip(series, ranges))
 
 
-def is_valid(series: Sequence[Series], ranges: Ranges, delta: float, phi: float) -> bool:
-    """Definition 3.2 checks for a range-shaped candidate (used in tests)."""
-    m = len(series)
-    for i, (r, (s, e)) in enumerate(zip(series, ranges)):
-        if not (0 <= s <= e < len(r)):
-            return False
-        if r.range_sum(s, e) < phi:
-            return False
-        if i + 1 < m:
-            nr, (ns, _) = series[i + 1], ranges[i + 1]
-            if not r.ts[e] < nr.ts[ns]:
-                return False
-    t_start = series[0].ts[ranges[0][0]]
-    t_end = series[-1].ts[ranges[-1][1]]
-    return t_end - t_start <= delta
-
-
 def is_maximal(series: Sequence[Series], ranges: Ranges, delta: float) -> bool:
     """Definition 3.3: no single interaction can be added to any edge-set.
 
@@ -193,8 +179,10 @@ def _find_instances(
         if r.range_sum(start_idx, last) >= phi_fn():
             out.append(prefix + ((start_idx, last),))
         return
+    acc = 0.0  # range_sum(start_idx, e), one addition per step
     for e in range(start_idx, last + 1):
-        if r.range_sum(start_idx, e) >= phi_fn():  # phi prefix-pruning (line 16)
+        acc += r.fs[e]
+        if acc >= phi_fn():  # phi prefix-pruning (line 16)
             _find_instances(
                 series,
                 edge_i + 1,

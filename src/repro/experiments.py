@@ -26,7 +26,7 @@ from repro.core.motif import MOTIF_ORDER, MOTIFS, Motif
 from repro.core.topk import topk_flows
 from repro.networks.generators import DATASETS, SPECS, generate, time_prefix
 from repro.spark import search as sp
-from repro.spark.graph import dataset_stats, distinct_pairs
+from repro.spark.graph import check_interactions, dataset_stats, distinct_pairs
 from repro.spark.join_baseline import count_instances_join, join_intermediate_counts
 from repro.spark.significance import significance
 from repro.spark.structural import structural_matches_df
@@ -74,11 +74,13 @@ def load(spark: SparkSession, kind: str, *, sf: float = DEFAULT_SF, seed: int = 
     t double, f double): the input multigraph G(V, E) (DESIGN.md § 3).
 
     Memoized per ``(kind, sf, seed)`` so repeated harness calls reuse the
-    same cached RDD.
+    same cached RDD. The input contract is checked once, here
+    (:func:`repro.spark.graph.check_interactions`).
     """
     key = (kind, sf, seed)
     if key not in _LOAD_CACHE:
-        _LOAD_CACHE[key] = spark.createDataFrame(generate(kind, sf=sf, seed=seed)).cache()
+        pdf = check_interactions(generate(kind, sf=sf, seed=seed))
+        _LOAD_CACHE[key] = spark.createDataFrame(pdf).cache()
     return _LOAD_CACHE[key]
 
 

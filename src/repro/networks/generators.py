@@ -54,10 +54,6 @@ SPECS: dict[str, Spec] = {
 DATASETS: tuple[str, ...] = ("bitcoin", "facebook", "passenger")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _dedupe_pairs(src: np.ndarray, dst: np.ndarray, n_pairs: int) -> pd.DataFrame:
     pairs = pd.DataFrame({"src": src, "dst": dst})
     pairs = pairs[pairs.src != pairs.dst].drop_duplicates()
@@ -116,13 +112,6 @@ def _close_cycles(
     return out, cycles
 
 
-def _close_triangles(
-    pairs: pd.DataFrame, frac: float, g: np.random.Generator
-) -> tuple[pd.DataFrame, Cycles]:
-    """Triangle + 4/5-cycle closure with a shared budget (see _close_cycles)."""
-    return _close_cycles(pairs, {2: frac, 3: frac / 2, 4: frac / 3}, g)
-
-
 def _zipf_weights(n: int, alpha: float) -> np.ndarray:
     w = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** alpha
     return w / w.sum()
@@ -139,7 +128,7 @@ def _bitcoin_pairs(
     src = g.choice(n_nodes, size=over, p=w)
     dst = g.choice(n_nodes, size=over, p=w)
     pairs = _dedupe_pairs(src, dst, n_pairs)
-    return _close_triangles(pairs, frac=0.12, g=g)
+    return _close_cycles(pairs, {2: 0.12, 3: 0.12 / 2, 4: 0.12 / 3}, g)
 
 
 def _facebook_pairs(
@@ -163,7 +152,7 @@ def _facebook_pairs(
         [pairs, recip.rename(columns={"src": "dst", "dst": "src"})],
         ignore_index=True,
     ).drop_duplicates().reset_index(drop=True)
-    return _close_triangles(pairs, frac=0.08, g=g)
+    return _close_cycles(pairs, {2: 0.08, 3: 0.08 / 2, 4: 0.08 / 3}, g)
 
 
 def _passenger_pairs(
@@ -337,7 +326,7 @@ def generate(kind: str, *, sf: float = 1.0, seed: int = 0) -> pd.DataFrame:
     spec = SPECS[kind]
     # Stable per-(kind, seed) stream: Python's hash() is process-salted,
     # so derive the seed arithmetically instead.
-    g = _rng(seed * 7919 + list(SPECS).index(kind) + 1)
+    g = np.random.default_rng(seed * 7919 + list(SPECS).index(kind) + 1)
     n_pairs = max(8, int(spec.n_pairs * sf))
     n_nodes = max(10, int(spec.n_nodes * sf)) if kind != "passenger" else max(
         12, min(spec.n_nodes, int(spec.n_nodes * max(sf, 0.2)))

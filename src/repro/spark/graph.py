@@ -4,12 +4,15 @@ The input multigraph is a DataFrame with columns ``src``/``dst`` (long),
 ``t`` (double) and ``f`` (double) — one row per interaction. The
 *time-series graph* G_T merges parallel edges into one row per connected
 pair carrying the interaction series as two aligned, time-sorted arrays
-``ts``/``fs`` (paper § 4, Figure 5). Table 3's dataset statistics are
-computed here as a plain Spark SQL aggregate so the DuckDB oracle can check
-them verbatim.
+``ts``/``fs`` (paper § 4, Figure 5). :func:`check_interactions` is the
+input contract, checked where interactions enter. Table 3's dataset
+statistics are computed here as a plain Spark SQL aggregate so the DuckDB
+oracle can check them verbatim.
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -22,6 +25,28 @@ SELECT
   (SELECT COUNT(*) FROM edges) AS n_edges,
   (SELECT AVG(f) FROM edges) AS avg_flow
 """
+
+
+def check_interactions(pdf: pd.DataFrame) -> pd.DataFrame:
+    """The input contract, on the driver: no two interactions share a
+    ``(src, dst, t)`` (G_T's series need unique timestamps), and every flow
+    ``f`` is non-null, finite and > 0. Returns ``pdf``; raises
+    ``ValueError`` on a violation."""
+    dup = pdf.duplicated(["src", "dst", "t"], keep=False)
+    if dup.any():
+        raise ValueError(
+            f"{int(dup.sum())} interactions share a (src, dst, t), e.g. "
+            f"{pdf[dup].iloc[0].to_dict()}; timestamps must be unique per pair"
+        )
+    f = pdf["f"].to_numpy(dtype=float, na_value=np.nan)
+    bad = ~(np.isfinite(f) & (f > 0))
+    if bad.any():
+        raise ValueError(
+            f"{int(bad.sum())} interactions have a null, NaN, infinite or "
+            f"non-positive flow, e.g. {pdf[bad].iloc[0].to_dict()}; "
+            "flows must be finite and > 0"
+        )
+    return pdf
 
 
 def timeseries_graph(edges: DataFrame) -> DataFrame:

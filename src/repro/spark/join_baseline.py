@@ -16,18 +16,16 @@ positions j >= i with ``ts[j] - a <= delta``. Those form a contiguous run
 starting at i (a prefix of ``ts[i:]``): ``ts`` is sorted and IEEE
 subtraction rounds monotonically, so ``ts[j] - a`` never decreases in j
 (DESIGN.md § 2.1). Each interval's flow is ``aggregate`` over
-``fs[i..j]`` from left to right: the same additions in the same order as
-the Definition 3.2 brute force (``repro.core.bruteforce``), so ``f`` and
-the ``f >= phi`` test match it bit for bit. A difference of float prefix
-sums would be cheaper per interval, but it is not exact (ROADMAP Open
-item 2).
+``fs[i..j]`` from left to right: the one flow rule (DESIGN.md § 2.2), so
+``f`` and the ``f >= phi`` test match Algorithm 1 and the brute force bit
+for bit.
 
 The paper's description stops at candidate construction; to produce the
 same *maximal* instance set as the two-phase algorithm we attach to each
 interval the timestamps of the pair's elements immediately before/after it
 (``prev_t``/``next_t``) and apply Definition 3.3 as a final filter
-predicate — still pure Catalyst. Tests assert the result set is identical
-to ``repro.spark.search.find_instances``; the benchmark (Fig. 8) shows the
+predicate — still pure Catalyst. Tests assert the rows are identical to
+``repro.spark.search.find_instances``'s; the benchmark (Fig. 8) shows the
 intermediate-result blow-up that makes this slower, as in the paper.
 """
 from __future__ import annotations
@@ -37,7 +35,7 @@ from pyspark.sql import functions as F
 
 from repro.core.motif import Motif
 from repro.spark.graph import timeseries_graph
-from repro.spark.structural import node_columns
+from repro.spark.structural import instance_schema
 
 
 def intervals(edges: DataFrame, delta: float, phi: float) -> DataFrame:
@@ -165,10 +163,9 @@ def join_intermediate_counts(
 def find_instances_join(
     edges: DataFrame, motif: Motif, delta: float, phi: float
 ) -> DataFrame:
-    """Maximal motif instances via the progressive interval-join plan.
-
-    Output: ``v0..v{n-1}``, per-edge ``ts{i}``/``te{i}``/``f{i}``, plus
-    ``flow`` (Equation 1), ``t_start``, ``t_end``.
+    """Maximal motif instances via the progressive interval-join plan, in
+    the two-phase search's schema
+    (:func:`repro.spark.structural.instance_schema`).
     """
     m = motif.m
     out = candidate_instances_join(edges, motif, delta, phi)
@@ -187,14 +184,13 @@ def find_instances_join(
         ]
     out = out.filter(f"NOT ({' OR '.join(extendable)})")
 
-    keep = node_columns(motif) + [
-        c for i in range(m) for c in (f"ts{i}", f"te{i}", f"f{i}")
-    ]
+    derived = {
+        "flow": f"least({', '.join(f'f{i}' for i in range(m))}) AS flow",
+        "t_start": "ts0 AS t_start",
+        "t_end": f"te{m - 1} AS t_end",
+    }
     return out.selectExpr(
-        *keep,
-        f"least({', '.join(f'f{i}' for i in range(m))}) AS flow",
-        "ts0 AS t_start",
-        f"te{m - 1} AS t_end",
+        *[derived.get(c, c) for c in instance_schema(motif).fieldNames()]
     )
 
 

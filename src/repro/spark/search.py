@@ -26,21 +26,14 @@ from typing import Callable, Iterable, Iterator
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    DoubleType,
-    IntegerType,
-    LongType,
-    StringType,
-    StructField,
-    StructType,
-)
+from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
 from repro.core.topk import TopKHeap, topk_scan_match
 from repro.spark.graph import timeseries_graph
-from repro.spark.structural import node_columns, structural_matches_df
+from repro.spark.structural import instance_schema, node_columns, structural_matches_df
 
 #: One P2 input: a match row (column name -> value) and its per-edge series.
 _Match = tuple[dict, list[Series]]
@@ -62,26 +55,10 @@ def matches_with_series(
     return structural_matches_df(timeseries_graph(edges), motif, delta=delta)
 
 
-def _instances_schema(motif: Motif) -> StructType:
-    fields = [StructField(c, LongType()) for c in node_columns(motif)]
-    fields += [
-        StructField("flow", DoubleType()),
-        StructField("t_start", DoubleType()),
-        StructField("t_end", DoubleType()),
-        StructField("n_interactions", IntegerType()),
-        StructField("ranges", StringType()),
-        # per-edge (first, last) timestamps — the instance's edge windows,
-        # comparable 1:1 with the join baseline's interval columns
-        StructField("edge_windows", StringType()),
-    ]
-    return StructType(fields)
-
-
 _PD_DTYPES = {
     "long": "int64",
     "integer": "int32",
     "double": "float64",
-    "string": "object",
 }
 
 
@@ -136,33 +113,23 @@ def p2(
 def find_instances(
     edges: DataFrame, motif: Motif, delta: float, phi: float
 ) -> DataFrame:
-    """All maximal instances of ``motif``: one row per instance.
-
-    Columns: the match binding ``v0..v{n-1}``, Equation 1's ``flow``, the
-    instance span ``t_start``/``t_end``, the number of interactions used,
-    and the per-edge index ranges serialized as a string (for exact
-    comparison against the pure-Python reference in tests).
+    """All maximal instances of ``motif``: one row per instance, in the
+    join baseline's schema (:func:`repro.spark.structural.instance_schema`).
     """
     vcols = node_columns(motif)
 
     def per_batch(matches: Iterator[_Match]) -> Iterator[tuple]:
         for rd, series in matches:
-            binding = tuple(int(rd[c]) for c in vcols)
+            binding = tuple(rd[c] for c in vcols)
             for inst in enumerate_instances(series, delta, phi):
-                windows = tuple(
-                    (float(r.ts[s]), float(r.ts[e]))
+                edge_sets = tuple(
+                    x
                     for r, (s, e) in zip(series, inst.ranges)
+                    for x in (r.ts[s], r.ts[e], r.range_sum(s, e))
                 )
-                yield binding + (
-                    float(inst.flow),
-                    float(inst.t_start),
-                    float(inst.t_end),
-                    int(sum(e - s + 1 for s, e in inst.ranges)),
-                    repr(inst.ranges),
-                    repr(windows),
-                )
+                yield binding + edge_sets + (inst.flow, inst.t_start, inst.t_end)
 
-    return p2(edges, motif, delta, per_batch, _instances_schema(motif))
+    return p2(edges, motif, delta, per_batch, instance_schema(motif))
 
 
 def count_instances(

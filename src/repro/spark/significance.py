@@ -39,6 +39,7 @@ from pyspark.sql.types import (
 
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
+from repro.spark.graph import check_interactions
 from repro.spark.search import p2
 
 #: Deterministic row order used to index interactions before permuting.
@@ -50,25 +51,11 @@ _COUNTS_SCHEMA = StructType(
 
 
 def _sorted_interactions(edges: DataFrame) -> pd.DataFrame:
-    """``edges`` on the driver, sorted by ``(t, src, dst)``, with the input
-    contract checked: no duplicate ``(src, dst, t)`` (it would make the
-    permutation order ambiguous) and every flow non-null, finite and > 0.
-    Raises ``ValueError`` on a violation."""
-    pdf = edges.select("src", "dst", "t", "f").toPandas()
-    dup = pdf.duplicated(["src", "dst", "t"], keep=False)
-    if dup.any():
-        raise ValueError(
-            f"{int(dup.sum())} interactions share a (src, dst, t), e.g. "
-            f"{pdf[dup].iloc[0].to_dict()}; timestamps must be unique per pair"
-        )
-    f = pdf["f"].to_numpy(dtype=float, na_value=np.nan)
-    bad = ~(np.isfinite(f) & (f > 0))
-    if bad.any():
-        raise ValueError(
-            f"{int(bad.sum())} interactions have a null, NaN, infinite or "
-            f"non-positive flow, e.g. {pdf[bad].iloc[0].to_dict()}; "
-            "flows must be finite and > 0"
-        )
+    """``edges`` on the driver, checked by
+    :func:`repro.spark.graph.check_interactions` (a duplicate ``(src, dst,
+    t)`` would also make the permutation order ambiguous) and sorted by
+    ``(t, src, dst)``."""
+    pdf = check_interactions(edges.select("src", "dst", "t", "f").toPandas())
     return pdf.sort_values(_ORDER, ignore_index=True)
 
 

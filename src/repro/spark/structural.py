@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.motif import Motif
 
@@ -25,6 +26,22 @@ from repro.core.motif import Motif
 def node_columns(motif: Motif) -> list[str]:
     """Output column names v0..v{n-1}, one per distinct motif node."""
     return [f"v{i}" for i in range(motif.n_nodes)]
+
+
+def instance_schema(motif: Motif) -> StructType:
+    """The instance row of both engines (``search.find_instances`` and
+    ``join_baseline.find_instances_join``).
+
+    Columns: the match binding ``v0..v{n-1}`` (long); then, per motif edge
+    i, its edge-set's first and last timestamps ``ts{i}``/``te{i}`` and its
+    flow ``f{i}``; then Equation 1's ``flow`` and the span
+    ``t_start``/``t_end`` (doubles).
+    """
+    doubles = [c for i in range(motif.m) for c in (f"ts{i}", f"te{i}", f"f{i}")]
+    return StructType(
+        [StructField(c, LongType()) for c in node_columns(motif)]
+        + [StructField(c, DoubleType()) for c in doubles + ["flow", "t_start", "t_end"]]
+    )
 
 
 def structural_matches_df(
@@ -116,8 +133,3 @@ def matches_sql(motif: Motif, table: str = "pairs") -> str:
         f"SELECT * FROM ({inner}) v "
         f"WHERE {' AND '.join(distinct) if distinct else 'TRUE'}"
     )
-
-
-def count_matches(pairs: DataFrame, motif: Motif) -> int:
-    """Number of structural matches (Table 4's first row per dataset)."""
-    return structural_matches_df(pairs, motif).count()

@@ -2,10 +2,9 @@
 
 The session-scoped ``spark`` fixture comes from the repo-root conftest.
 Here we add small deterministic interaction graphs (hand-built and
-generator-sampled) and comparison helpers between the distributed pipeline
-and the pure-Python reference.
+generator-sampled) and the one instance-row comparison between the two
+Spark engines and the pure-Python reference.
 """
-import ast
 import random
 
 import pandas as pd
@@ -37,31 +36,27 @@ def random_edges(seed: int, n_nodes: int = 8, n_edges: int = 40,
     return sorted(out, key=lambda e: e[2])
 
 
-def py_instance_set(edges: list[Edge], motif: Motif, delta: float, phi: float):
-    """Reference result as a comparable set of tuples."""
+def py_instance_rows(edges: list[Edge], motif: Motif, delta: float, phi: float):
+    """The pure-Python reference in the Spark engines' instance schema
+    (``repro.spark.structural.instance_schema``), as sorted tuples."""
     from repro.core.search import build_series
     from repro.core.structural import match_edge_pairs
 
     series_map = build_series(edges)
-    out = set()
+    rows = []
     for match, inst in search_graph(edges, motif, delta, phi):
-        series = [series_map[p] for p in match_edge_pairs(motif, match)]
-        windows = tuple(
-            (float(r.ts[s]), float(r.ts[e]))
-            for r, (s, e) in zip(series, inst.ranges)
-        )
-        out.add((tuple(int(v) for v in match), windows, round(inst.flow, 6)))
-    return out
+        row = tuple(match)
+        for pair, (s, e) in zip(match_edge_pairs(motif, match), inst.ranges):
+            r = series_map[pair]
+            row += (r.ts[s], r.ts[e], r.range_sum(s, e))
+        rows.append(row + (inst.flow, inst.t_start, inst.t_end))
+    return sorted(rows)
 
 
-def spark_instance_set(df, n_nodes: int):
-    """``repro.spark.search.find_instances`` output as the same set shape."""
-    out = set()
-    for row in df.collect():
-        match = tuple(int(row[f"v{i}"]) for i in range(n_nodes))
-        windows = ast.literal_eval(row.edge_windows)
-        out.add((match, windows, round(row.flow, 6)))
-    return out
+def instance_rows(df):
+    """A ``find_instances`` or ``find_instances_join`` frame's rows as sorted
+    tuples, compared exactly: no rounding, no parsing."""
+    return sorted(tuple(r) for r in df.collect())
 
 
 @pytest.fixture(scope="session")

@@ -7,12 +7,16 @@ Hypothesis-driven), across motif path lengths 1..4 and various delta/phi.
 """
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bruteforce as bf
+from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series, enumerate_instances
+from repro.core.topk import topk_flows
+from repro.networks.generators import _bitcoin_flows
 
 
 def random_series(rng: random.Random, m: int, max_len: int = 4) -> list[Series]:
@@ -95,6 +99,39 @@ def test_crosscheck_hypothesis(data, m, delta, phi):
         buckets[e].append((float(t), float(f)))
     series = [Series(b) for b in buckets]
     assert_algo1_matches_definition(series, float(delta), float(phi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=7),
+    flow_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    delta=st.integers(min_value=1, max_value=400),
+)
+def test_float_flows_hypothesis(data, m, n, flow_seed, delta):
+    """Bitcoin's flows (4-dp log-normals) with phi equal to an edge-set sum
+    that occurs: Algorithm 1 == brute force, and heap top-1 == DP, exactly."""
+    times = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=500), min_size=n, max_size=n, unique=True
+        )
+    )
+    assignment = data.draw(
+        st.lists(st.integers(min_value=0, max_value=m - 1), min_size=n, max_size=n)
+    )
+    flows = _bitcoin_flows(n, np.random.default_rng(flow_seed))
+    buckets: list[list[tuple[float, float]]] = [[] for _ in range(m)]
+    for t, e, f in zip(times, assignment, flows):
+        buckets[e].append((t / 10, float(f)))
+    series = [Series(b) for b in buckets]
+    sums = [
+        r.range_sum(i, j) for r in series for i in range(len(r)) for j in range(i, len(r))
+    ]
+    phi = data.draw(st.sampled_from(sums))
+    assert_algo1_matches_definition(series, delta / 10, phi)
+    top = topk_flows([series], delta / 10, 1)
+    assert dp_max_flow(series, delta / 10) == (top[0] if top else 0.0)
 
 
 def test_bruteforce_sanity_nonmaximal_detected():

@@ -4,6 +4,7 @@ and the harness counts pinned to the pure-Python reference.
 Run at a small scale factor; the full-scale numbers live in EXPERIMENTS.md
 (regenerated by ``jobs/run_experiments.py``).
 """
+import pandas as pd
 import pytest
 
 from repro import experiments as ex
@@ -18,6 +19,27 @@ SF = 0.15
 def _edges(kind):
     """The network the harness loads for ``kind``, as an edge list."""
     return list(generate(kind, sf=SF, seed=0).itertuples(index=False, name=None))
+
+
+class TestLoad:
+    """``load`` checks the input contract before any Spark work."""
+
+    @pytest.mark.parametrize(
+        "broken, match",
+        [
+            (lambda pdf: pd.concat([pdf, pdf.head(1)]), r"share a \(src, dst, t\)"),
+            (lambda pdf: pdf.assign(f=pdf.f.where(pdf.index != 3, 0.0)), "non-positive"),
+            (lambda pdf: pdf.assign(f=pdf.f.where(pdf.index != 3)), "null, NaN"),
+        ],
+        ids=["duplicate", "zero-flow", "null-flow"],
+    )
+    def test_rejects_broken_input(self, spark, monkeypatch, broken, match):
+        monkeypatch.setattr(
+            ex, "generate", lambda kind, sf, seed: broken(generate(kind, sf=sf, seed=seed))
+        )
+        with pytest.raises(ValueError, match=match):
+            ex.load(spark, "passenger", sf=SF, seed=901)
+        assert ("passenger", SF, 901) not in ex._LOAD_CACHE
 
 
 class TestTable3:

@@ -10,7 +10,6 @@ from repro.core.instances import (
     enumerate_instances,
     instance_flow,
     is_maximal,
-    is_valid,
     window_end,
 )
 
@@ -26,6 +25,14 @@ class TestSeries:
         assert s.range_sum(0, 2) == 7.0
         assert s.range_sum(1, 1) == 4.0
         assert s.range_sum(0, 0) == 2.0
+
+    def test_range_sum_is_a_left_fold(self):
+        # builtin sum() gives 1.0 for all ten on Python >= 3.12, and a
+        # difference of prefix sums gives 0.7999999999999998 for 2..9
+        s = Series([(i, 0.1) for i in range(10)])
+        assert s.range_sum(0, 9) == 0.9999999999999999
+        assert s.range_sum(2, 9) == 0.7999999999999999
+        assert bf.instance_flow([s], (tuple(range(10)),)) == s.range_sum(0, 9)
 
     def test_first_after_and_last_at_or_before(self):
         s = Series([(1, 1), (3, 1), (5, 1)])
@@ -53,7 +60,7 @@ class TestSeries:
     def test_len_and_pairs(self):
         s = Series([(2, 1.0), (1, 3.0)])
         assert len(s) == 2
-        assert s.pairs() == ((1, 3.0), (2, 1.0))
+        assert tuple(zip(s.ts, s.fs)) == ((1, 3.0), (2, 1.0))
 
 
 class TestSingleEdgeMotif:
@@ -122,17 +129,22 @@ class TestTwoEdgeChain:
 class TestMaximalityAndValidity:
     SERIES = [Series([(0, 1.0), (2, 1.0)]), Series([(1, 1.0), (3, 1.0)])]
 
+    def is_valid(self, ranges, delta, phi):
+        """Definition 3.2, judged by the brute force."""
+        valid = bf.valid_instances(self.SERIES, delta, phi)
+        return bf.ranges_to_idxsets(ranges) in valid
+
     def test_is_valid_ordering(self):
-        assert is_valid(self.SERIES, ((0, 0), (0, 1)), delta=10, phi=0)
+        assert self.is_valid(((0, 0), (0, 1)), delta=10, phi=0)
         # e1 <- {0,2}, e2 <- {1,...}: 2 > 1 breaks the order
-        assert not is_valid(self.SERIES, ((0, 1), (0, 1)), delta=10, phi=0)
+        assert not self.is_valid(((0, 1), (0, 1)), delta=10, phi=0)
 
     def test_is_valid_delta(self):
-        assert not is_valid(self.SERIES, ((0, 0), (0, 1)), delta=2, phi=0)
+        assert not self.is_valid(((0, 0), (0, 1)), delta=2, phi=0)
 
     def test_is_valid_phi(self):
-        assert not is_valid(self.SERIES, ((0, 0), (0, 1)), delta=10, phi=1.5)
-        assert is_valid(self.SERIES, ((0, 0), (0, 1)), delta=10, phi=1.0)
+        assert not self.is_valid(((0, 0), (0, 1)), delta=10, phi=1.5)
+        assert self.is_valid(((0, 0), (0, 1)), delta=10, phi=1.0)
 
     def test_is_maximal_detects_addable_tail(self):
         # e2 <- {(1,..)} only: (3,..) can be added within delta=10
@@ -177,16 +189,10 @@ def test_determinism():
     assert [i.ranges for i in a] == [i.ranges for i in b]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Series.range_sum subtracts float prefix sums, so the last "
-    "element's flow 3.805 reads as 3.8049999999999997 (ROADMAP Open item 2)",
-)
 def test_float_phi_matches_definition():
-    """Open defect: the flow of an edge-set equal to phi in exact
-    arithmetic must pass the phi check, as in the Definition 3.2 brute
-    force. When the fix lands, this test passes and ``strict`` fails it
-    until the xfail mark is removed."""
+    """An edge-set whose flow equals phi passes the phi check, as in the
+    Definition 3.2 brute force. A difference of prefix sums reads the last
+    element's flow 3.805 as 3.8049999999999997 and loses the instance."""
     series = [
         Series([(0, 6.22), (1, 2.843), (2, 1.8), (3, 3.805)]),
         Series([(3.5, 5.0)]),

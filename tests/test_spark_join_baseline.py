@@ -1,7 +1,7 @@
 """Join-baseline competitor: interval oracle + exact equality with two-phase."""
 import pytest
 
-from repro.core.motif import MOTIFS
+from repro.core.motif import MOTIF_ORDER, MOTIFS
 from repro.networks.generators import SPECS
 from repro.oracle import assert_equivalent
 from repro.spark import search as sp
@@ -13,7 +13,7 @@ from repro.spark.join_baseline import (
     intervals_sql,
     join_intermediate_counts,
 )
-from tests.conftest import random_edges, spark_instance_set, to_spark_edges
+from tests.conftest import instance_rows, random_edges, to_spark_edges
 
 FIG2_EDGES = [(3, 1, 10.0, 10.0), (1, 2, 13.0, 5.0), (1, 2, 15.0, 7.0), (2, 3, 18.0, 20.0)]
 
@@ -127,28 +127,17 @@ class TestExactIntervals:
         assert intervals(passenger_small, -1.0, 0.0).count() == 0
 
 
-def join_instance_set(df, motif):
-    out = set()
-    for row in df.collect():
-        match = tuple(int(row[f"v{i}"]) for i in range(motif.n_nodes))
-        windows = tuple(
-            (row[f"ts{i}"], row[f"te{i}"]) for i in range(motif.m)
-        )
-        out.add((match, windows, round(row.flow, 6)))
-    return out
-
-
 class TestEqualityWithTwoPhase:
+    """The join baseline and the two-phase search return the same rows,
+    compared exactly (same schema, same flows to the last bit)."""
+
     def test_fig4(self, spark):
         motif = MOTIFS["M(3,3)"]
         edges = to_spark_edges(spark, FIG2_EDGES)
-        got = join_instance_set(find_instances_join(edges, motif, 10, 7), motif)
-        expected = spark_instance_set(
-            sp.find_instances(edges, motif, 10, 7), motif.n_nodes
-        )
-        assert got == expected == {
-            ((3, 1, 2), ((10.0, 10.0), (13.0, 15.0), (18.0, 18.0)), 10.0)
-        }
+        got = instance_rows(find_instances_join(edges, motif, 10, 7))
+        assert got == instance_rows(sp.find_instances(edges, motif, 10, 7)) == [
+            (3, 1, 2, 10.0, 10.0, 10.0, 13.0, 15.0, 12.0, 18.0, 18.0, 20.0, 10.0, 10.0, 18.0)
+        ]
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("name", ["M(3,2)", "M(3,3)"])
@@ -156,22 +145,44 @@ class TestEqualityWithTwoPhase:
         motif = MOTIFS[name]
         edges = to_spark_edges(spark, random_edges(seed, n_nodes=6, n_edges=35, t_max=40))
         delta, phi = 12.0, 3.0
-        got = join_instance_set(find_instances_join(edges, motif, delta, phi), motif)
-        expected = spark_instance_set(
-            sp.find_instances(edges, motif, delta, phi), motif.n_nodes
-        )
-        assert got == expected
+        got = instance_rows(find_instances_join(edges, motif, delta, phi))
+        assert got == instance_rows(sp.find_instances(edges, motif, delta, phi))
 
     @pytest.mark.parametrize("name", ["M(4,3)", "M(4,4)C"])
     def test_larger_motifs(self, spark, name):
         motif = MOTIFS[name]
         edges = to_spark_edges(spark, random_edges(42, n_nodes=6, n_edges=45, t_max=30))
         delta, phi = 15.0, 2.0
-        got = join_instance_set(find_instances_join(edges, motif, delta, phi), motif)
-        expected = spark_instance_set(
-            sp.find_instances(edges, motif, delta, phi), motif.n_nodes
-        )
-        assert got == expected
+        got = instance_rows(find_instances_join(edges, motif, delta, phi))
+        assert got == instance_rows(sp.find_instances(edges, motif, delta, phi))
+
+    @pytest.mark.parametrize("name", MOTIF_ORDER)
+    def test_same_schema(self, spark, name):
+        motif = MOTIFS[name]
+        edges = to_spark_edges(spark, FIG2_EDGES)
+        a = sp.find_instances(edges, motif, 10.0, 1.0).schema
+        b = find_instances_join(edges, motif, 10.0, 1.0).schema
+        assert [(f.name, f.dataType) for f in a] == [(f.name, f.dataType) for f in b]
+
+    @pytest.mark.parametrize(
+        "scale", [(1.0, 1.0), (4.0, 0.0), (0.5, 2.0)], ids=["x1-x1", "x4-x0", "x0.5-x2"]
+    )
+    @pytest.mark.parametrize("kind", ["bitcoin", "passenger"])
+    def test_generated_dataset_rows(self, request, kind, scale):
+        # bitcoin's flows are 4-dp floats: an f{i} or phi test that added
+        # them in another order would differ in the last bit
+        edges = request.getfixturevalue(f"{kind}_small")
+        spec = SPECS[kind]
+        delta, phi = scale[0] * spec.delta_default, scale[1] * spec.phi_default
+        rows = 0
+        for name in ("M(3,2)", "M(4,3)"):
+            two = sp.find_instances(edges, MOTIFS[name], delta, phi)
+            join = find_instances_join(edges, MOTIFS[name], delta, phi)
+            join = join.select(*two.columns)
+            assert two.exceptAll(join).count() == 0, name
+            assert join.exceptAll(two).count() == 0, name
+            rows += two.count()
+        assert rows > 0
 
     @pytest.mark.parametrize("kind", ["passenger", "bitcoin"])
     def test_generated_dataset_count(self, request, kind):

@@ -9,11 +9,11 @@ from repro.core.search import count_graph, max_flow_graph, topk_graph
 from repro.spark import search as sp
 from repro.spark.graph import distinct_pairs
 from repro.spark.join_baseline import find_instances_join
-from repro.spark.structural import count_matches
+from repro.spark.structural import structural_matches_df
 from tests.conftest import (
-    py_instance_set,
+    instance_rows,
+    py_instance_rows,
     random_edges,
-    spark_instance_set,
     to_spark_edges,
 )
 
@@ -26,11 +26,13 @@ class TestFindInstances:
         df = sp.find_instances(to_spark_edges(spark, FIG2_EDGES), motif, 10, 7)
         rows = df.collect()
         assert len(rows) == 1
-        r = rows[0]
-        assert (r.v0, r.v1, r.v2) == (3, 1, 2)
-        assert r.flow == 10.0
-        assert (r.t_start, r.t_end) == (10.0, 18.0)
-        assert r.n_interactions == 4
+        assert tuple(rows[0]) == (
+            3, 1, 2,  # v0..v2
+            10.0, 10.0, 10.0,  # ts0, te0, f0
+            13.0, 15.0, 12.0,  # ts1, te1, f1
+            18.0, 18.0, 20.0,  # ts2, te2, f2
+            10.0, 10.0, 18.0,  # flow, t_start, t_end
+        )
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("name", ["M(3,2)", "M(3,3)"])
@@ -38,22 +40,20 @@ class TestFindInstances:
         motif = MOTIFS[name]
         edges = random_edges(seed, n_nodes=6, n_edges=35, t_max=40)
         delta, phi = 12.0, 4.0
-        got = spark_instance_set(
-            sp.find_instances(to_spark_edges(spark, edges), motif, delta, phi),
-            motif.n_nodes,
+        got = instance_rows(
+            sp.find_instances(to_spark_edges(spark, edges), motif, delta, phi)
         )
-        assert got == py_instance_set(edges, motif, delta, phi)
+        assert got == py_instance_rows(edges, motif, delta, phi)
 
     @pytest.mark.parametrize("name", ["M(4,3)", "M(4,4)A", "M(4,4)B", "M(5,5)C"])
     def test_matches_python_reference_larger_motifs(self, spark, name):
         motif = MOTIFS[name]
         edges = random_edges(99, n_nodes=6, n_edges=45, t_max=30)
         delta, phi = 15.0, 2.0
-        got = spark_instance_set(
-            sp.find_instances(to_spark_edges(spark, edges), motif, delta, phi),
-            motif.n_nodes,
+        got = instance_rows(
+            sp.find_instances(to_spark_edges(spark, edges), motif, delta, phi)
         )
-        assert got == py_instance_set(edges, motif, delta, phi)
+        assert got == py_instance_rows(edges, motif, delta, phi)
 
     def test_generated_dataset_counts(self, passenger_small):
         from repro.networks.generators import SPECS
@@ -129,8 +129,8 @@ class TestDeltaBoundary:
         df = to_spark_edges(spark, edges)
         assert sp.matches_with_series(df, motif).count() == 1
         assert sp.matches_with_series(df, motif, delta).count() == int(kept)
-        got = spark_instance_set(sp.find_instances(df, motif, delta, 0.0), motif.n_nodes)
-        assert got == py_instance_set(edges, motif, delta, 0.0)
+        got = instance_rows(sp.find_instances(df, motif, delta, 0.0))
+        assert got == py_instance_rows(edges, motif, delta, 0.0)
         assert bool(got) == kept
 
 
@@ -138,8 +138,10 @@ class TestDeltaBoundary:
 def test_unpruned_matches_are_structural_matches(passenger_small, name):
     """Without delta every structural match reaches P2 (Table 4, Fig. 12)."""
     motif = MOTIFS[name]
-    assert sp.matches_with_series(passenger_small, motif).count() == count_matches(
-        distinct_pairs(passenger_small), motif
+    pairs = distinct_pairs(passenger_small)
+    assert (
+        sp.matches_with_series(passenger_small, motif).count()
+        == structural_matches_df(pairs, motif).count()
     )
 
 
@@ -191,4 +193,5 @@ class TestMaxFlowDP:
 class TestPhase1Helper:
     def test_count_and_time(self, spark):
         edges = to_spark_edges(spark, FIG2_EDGES)
-        assert count_matches(distinct_pairs(edges), MOTIFS["M(3,3)"]) == 3
+        pairs = distinct_pairs(edges)
+        assert structural_matches_df(pairs, MOTIFS["M(3,3)"]).count() == 3

@@ -37,12 +37,14 @@ class TestPermuteFlows:
         assert x != z
 
     def test_structural_matches_unchanged(self, spark):
-        from repro.spark.structural import count_matches
+        from repro.spark.structural import structural_matches_df
 
         edges = to_spark_edges(spark, random_edges(3, n_nodes=6, n_edges=30))
         motif = MOTIFS["M(3,2)"]
-        assert count_matches(distinct_pairs(edges), motif) == count_matches(
-            distinct_pairs(permute_flows(edges, seed=4)), motif
+        permuted = permute_flows(edges, seed=4)
+        assert (
+            structural_matches_df(distinct_pairs(edges), motif).count()
+            == structural_matches_df(distinct_pairs(permuted), motif).count()
         )
 
     def test_delta_only_instances_unchanged(self, spark):

@@ -6,12 +6,7 @@ from repro.core.motif import MOTIF_ORDER, MOTIFS
 from repro.core.structural import structural_matches
 from repro.oracle import assert_equivalent
 from repro.spark.graph import distinct_pairs
-from repro.spark.structural import (
-    count_matches,
-    matches_sql,
-    node_columns,
-    structural_matches_df,
-)
+from repro.spark.structural import matches_sql, node_columns, structural_matches_df
 from tests.conftest import random_edges, to_spark_edges
 
 PAIRS = [
@@ -90,18 +85,19 @@ class TestAgainstDuckDBOracle:
 class TestCountsAndShape:
     def test_count_matches(self, spark):
         df = pairs_df(spark, PAIRS)
-        assert count_matches(df, MOTIFS["M(3,3)"]) == 3  # triangle rotations
+        # triangle rotations
+        assert structural_matches_df(df, MOTIFS["M(3,3)"]).count() == 3
 
     def test_empty_graph(self, spark):
         df = pairs_df(spark, [])
-        assert count_matches(df, MOTIFS["M(3,2)"]) == 0
+        assert structural_matches_df(df, MOTIFS["M(3,2)"]).count() == 0
 
     def test_complex_motifs_have_fewer_matches(self, passenger_small):
         """Table 4's qualitative shape: match counts shrink as the motif
         grows (within the same family chain -> longer chain)."""
         pairs = distinct_pairs(passenger_small)
-        c32 = count_matches(pairs, MOTIFS["M(3,2)"])
-        c43 = count_matches(pairs, MOTIFS["M(4,3)"])
+        c32 = structural_matches_df(pairs, MOTIFS["M(3,2)"]).count()
+        c43 = structural_matches_df(pairs, MOTIFS["M(4,3)"]).count()
         assert c32 > 0
         # longer chains require distinct extra vertices, so (on our sparse
         # sample) they cannot outnumber short ones by much; the paper's

@@ -127,4 +127,5 @@ class TestGraphLevelTopK:
     def test_build_series_groups_pairs(self):
         series = build_series(self.EDGES)
         assert set(series) == {("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")}
-        assert series[("a", "b")].pairs() == ((1.0, 4.0), (2.0, 2.0))
+        ab = series[("a", "b")]
+        assert tuple(zip(ab.ts, ab.fs)) == ((1.0, 4.0), (2.0, 2.0))
