@@ -5,7 +5,7 @@ Modules: :mod:`motif` (Definition 3.1 + Figure 3 catalog), :mod:`structural`
 :mod:`dp` (Algorithm 2), :mod:`topk` (§ 5), :mod:`search` (end-to-end),
 :mod:`bruteforce` (definition-direct test oracle).
 """
-from .instances import Instance, Series, count_instances, enumerate_instances
+from .instances import Instance, Series, enumerate_instances
 from .motif import MOTIF_ORDER, MOTIFS, Motif
 from .search import build_series, count_graph, max_flow_graph, search_graph, topk_graph
 from .structural import structural_matches
@@ -13,7 +13,6 @@ from .structural import structural_matches
 __all__ = [
     "Instance",
     "Series",
-    "count_instances",
     "enumerate_instances",
     "MOTIF_ORDER",
     "MOTIFS",

@@ -15,8 +15,10 @@ represented compactly as per-edge index ranges into the series.
 
 Algorithm 1 can emit candidates that a later window subsumes; we keep its
 candidate generation verbatim and apply an O(m) maximality check per
-candidate straight from Definition 3.3. ``tests/test_bruteforce_crosscheck``
-proves the output equals the definition-direct brute force.
+candidate straight from Definition 3.3. Each maximal instance comes out
+once, in ``(t_start, ranges)`` order, with its edge-set flows.
+``tests/test_bruteforce_crosscheck`` proves the output equals the
+definition-direct brute force.
 """
 from __future__ import annotations
 
@@ -101,14 +103,19 @@ class Instance:
     """A maximal flow-motif instance within one structural match.
 
     ``ranges[i]`` is the inclusive index range of motif edge ``e_{i+1}``'s
-    edge-set inside that edge's :class:`Series`; ``flow`` is Equation 1's
-    min-over-edges aggregated flow; ``t_start``/``t_end`` delimit the span.
+    edge-set inside that edge's :class:`Series` and ``flows[i]`` that
+    edge-set's flow; ``t_start``/``t_end`` delimit the span.
     """
 
     ranges: Ranges
-    flow: float
+    flows: tuple[float, ...]
     t_start: float
     t_end: float
+
+    @property
+    def flow(self) -> float:
+        """Equation 1: the minimum edge-set flow."""
+        return min(self.flows)
 
     def edge_sets(self, series: Sequence[Series]) -> tuple[tuple[tuple[float, float], ...], ...]:
         """Materialize the per-edge (t, f) sets, for display and tests."""
@@ -116,11 +123,6 @@ class Instance:
             tuple(zip(r.ts[s : e + 1], r.fs[s : e + 1]))
             for r, (s, e) in zip(series, self.ranges)
         )
-
-
-def instance_flow(series: Sequence[Series], ranges: Ranges) -> float:
-    """Equation 1: minimum over motif edges of the edge-set flow sum."""
-    return min(r.range_sum(s, e) for r, (s, e) in zip(series, ranges))
 
 
 def is_maximal(series: Sequence[Series], ranges: Ranges, delta: float) -> bool:
@@ -159,15 +161,17 @@ def _find_instances(
     start_idx: int,
     hi: float,
     phi_fn: Callable[[], float],
-    out: list[Ranges],
+    out: list[tuple[Ranges, tuple[float, ...]]],
     prefix: Ranges,
+    flows: tuple[float, ...],
 ) -> None:
     """Procedure FindInstances of Algorithm 1 (recursive over the path).
 
     ``start_idx`` is the first eligible element of ``series[edge_i]`` (the
     one right after the previous edge-set's last timestamp), ``hi`` the
     inclusive window end. ``phi_fn`` is re-read at every prune point so the
-    top-k variant can tighten it while enumeration is in flight.
+    top-k variant can tighten it while enumeration is in flight. Appends
+    each candidate to ``out`` as its ``(ranges, flows)``.
     """
     r = series[edge_i]
     last = r.last_at_or_before(hi)
@@ -176,8 +180,9 @@ def _find_instances(
     if edge_i == len(series) - 1:
         # Last motif edge takes every remaining element in the window
         # (anything less would not be maximal).
-        if r.range_sum(start_idx, last) >= phi_fn():
-            out.append(prefix + ((start_idx, last),))
+        f = r.range_sum(start_idx, last)
+        if f >= phi_fn():
+            out.append((prefix + ((start_idx, last),), flows + (f,)))
         return
     acc = 0.0  # range_sum(start_idx, e), one addition per step
     for e in range(start_idx, last + 1):
@@ -191,13 +196,15 @@ def _find_instances(
                 phi_fn,
                 out,
                 prefix + ((start_idx, e),),
+                flows + (acc,),
             )
 
 
 def _maximal_ranges(
     series: Sequence[Series], delta: float, phi_fn: Callable[[], float]
-) -> Iterator[Ranges]:
-    """Each distinct maximal instance of one structural match, once.
+) -> Iterator[tuple[Ranges, tuple[float, ...]]]:
+    """Each maximal instance of one structural match, once, as ``(ranges,
+    flows)`` in ``(t_start, ranges)`` order.
 
     Windows of length ``delta`` are anchored at every interaction of the
     first motif edge (a maximal instance's temporally first element belongs
@@ -208,36 +215,28 @@ def _maximal_ranges(
     if any(len(r) == 0 for r in series):
         return
     first = series[0]
-    seen: set[Ranges] = set()
     for k in range(len(first)):
-        candidates: list[Ranges] = []
+        # No window repeats another's candidate: window k's all start at k.
+        candidates: list[tuple[Ranges, tuple[float, ...]]] = []
         hi = window_end(first.ts[k], delta)
-        _find_instances(series, 0, k, hi, phi_fn, candidates, ())
-        for ranges in candidates:
-            if ranges in seen:
-                continue
-            seen.add(ranges)
+        _find_instances(series, 0, k, hi, phi_fn, candidates, (), ())
+        for ranges, flows in candidates:
             if is_maximal(series, ranges, delta):
-                yield ranges
+                yield ranges, flows
 
 
 def enumerate_instances(
     series: Sequence[Series], delta: float, phi: float
 ) -> list[Instance]:
-    """All maximal instances of the motif within one structural match,
-    sorted by (t_start, ranges) for determinism."""
-    results = [
+    """All maximal instances of the motif within one structural match, in
+    ``(t_start, ranges)`` order: windows follow the first edge's timestamps,
+    and FindInstances' prefix loop is lexicographic."""
+    return [
         Instance(
             ranges=ranges,
-            flow=instance_flow(series, ranges),
+            flows=flows,
             t_start=series[0].ts[ranges[0][0]],
             t_end=series[-1].ts[ranges[-1][1]],
         )
-        for ranges in _maximal_ranges(series, delta, lambda: phi)
+        for ranges, flows in _maximal_ranges(series, delta, lambda: phi)
     ]
-    return sorted(results, key=lambda x: (x.t_start, x.ranges))
-
-
-def count_instances(series: Sequence[Series], delta: float, phi: float) -> int:
-    """Number of maximal instances (the quantity plotted in Figs. 9/10/13)."""
-    return len(enumerate_instances(series, delta, phi))

@@ -10,10 +10,9 @@ phi), so pruning cannot promote a non-maximal candidate.
 from __future__ import annotations
 
 import heapq
-from itertools import count
 from typing import Iterable, Sequence
 
-from .instances import Series, _maximal_ranges, instance_flow
+from .instances import Series, _maximal_ranges
 
 
 class TopKHeap:
@@ -27,30 +26,22 @@ class TopKHeap:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._heap: list[tuple[float, int, object]] = []
-        self._tie = count()
+        self._heap: list[float] = []
 
     def threshold(self) -> float:
         """Current floating phi: the k-th best flow, 0 while under-full."""
-        return self._heap[0][0] if len(self._heap) >= self.k else 0.0
+        return self._heap[0] if len(self._heap) >= self.k else 0.0
 
-    def offer(self, flow: float, payload: object = None) -> None:
-        """Insert a candidate, evicting the current k-th if beaten."""
-        item = (flow, next(self._tie), payload)
+    def offer(self, flow: float) -> None:
+        """Insert a flow, evicting the current k-th if beaten."""
         if len(self._heap) < self.k:
-            heapq.heappush(self._heap, item)
-        elif flow > self._heap[0][0]:
-            heapq.heapreplace(self._heap, item)
-
-    def items(self) -> list[tuple[float, object]]:
-        """(flow, payload) pairs, best first."""
-        return [
-            (f, p) for f, _, p in sorted(self._heap, key=lambda x: (-x[0], x[1]))
-        ]
+            heapq.heappush(self._heap, flow)
+        elif flow > self._heap[0]:
+            heapq.heapreplace(self._heap, flow)
 
     def flows(self) -> list[float]:
         """Held flows, best first."""
-        return [f for f, _ in self.items()]
+        return sorted(self._heap, reverse=True)
 
 
 def topk_scan_match(
@@ -61,8 +52,8 @@ def topk_scan_match(
     Runs Algorithm 1's window/prefix enumeration with the heap's floating
     threshold in place of phi, checking maximality before offering.
     """
-    for ranges in _maximal_ranges(series, delta, heap.threshold):
-        heap.offer(instance_flow(series, ranges), ranges)
+    for _, flows in _maximal_ranges(series, delta, heap.threshold):
+        heap.offer(min(flows))
 
 
 def topk_flows(

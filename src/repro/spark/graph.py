@@ -31,7 +31,11 @@ def check_interactions(pdf: pd.DataFrame) -> pd.DataFrame:
     """The input contract, on the driver: no two interactions share a
     ``(src, dst, t)`` (G_T's series need unique timestamps), and every flow
     ``f`` is non-null, finite and > 0. Returns ``pdf``; raises
-    ``ValueError`` on a violation."""
+    ``ValueError`` on a violation.
+
+    Self-loops (``src == dst``) are accepted and never match: every motif
+    edge joins two distinct motif nodes, and Definition 3.2's bijection
+    maps those to distinct vertices."""
     dup = pdf.duplicated(["src", "dst", "t"], keep=False)
     if dup.any():
         raise ValueError(

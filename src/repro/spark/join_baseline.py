@@ -35,7 +35,7 @@ from pyspark.sql import functions as F
 
 from repro.core.motif import Motif
 from repro.spark.graph import timeseries_graph
-from repro.spark.structural import instance_schema
+from repro.spark.structural import instance_schema, sql_double
 
 
 def intervals(edges: DataFrame, delta: float, phi: float) -> DataFrame:
@@ -46,8 +46,7 @@ def intervals(edges: DataFrame, delta: float, phi: float) -> DataFrame:
     carry the neighbouring element timestamps used by the final maximality
     filter (null at the series boundary).
     """
-    d = f"{float(delta)!r}D"  # repr round-trips: the exact double
-    p = f"{float(phi)!r}D"
+    d = sql_double(delta)
     return (
         timeseries_graph(edges)
         .selectExpr("src", "dst", "ts", "fs", "posexplode(ts) AS (i, a)")
@@ -64,7 +63,7 @@ def intervals(edges: DataFrame, delta: float, phi: float) -> DataFrame:
             "get(ts, i - 1) AS prev_t",
             "get(ts, j + 1) AS next_t",
         )
-        .filter(f"f >= {p}")
+        .filter(f"f >= {sql_double(phi)}")
     )
 
 
@@ -92,7 +91,7 @@ def _cascade(iv: DataFrame, motif: Motif, delta: float) -> list[DataFrame]:
     bijection filter.
     """
     path = motif.path
-    d = f"{float(delta)!r}D"  # repr round-trips: the exact double
+    d = sql_double(delta)
 
     # Columns and conditions are SQL text, one JVM round trip each (see
     # repro.spark.structural).
@@ -173,7 +172,7 @@ def find_instances_join(
     # Definition 3.3 as a Catalyst predicate: an instance survives iff no
     # edge-set can absorb its neighbouring element. Middle edges are bounded
     # by the adjacent edge-sets; the first/last edge by the duration delta.
-    d = f"{float(delta)!r}D"
+    d = sql_double(delta)
     extendable = []
     for i in range(m):
         front = f"te{m - 1} - prev{i} <= {d}" if i == 0 else f"prev{i} > te{i - 1}"

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.dp import max_flow as dp_max_flow
@@ -124,8 +123,8 @@ def find_instances(
             for inst in enumerate_instances(series, delta, phi):
                 edge_sets = tuple(
                     x
-                    for r, (s, e) in zip(series, inst.ranges)
-                    for x in (r.ts[s], r.ts[e], r.range_sum(s, e))
+                    for r, (s, e), f in zip(series, inst.ranges, inst.flows)
+                    for x in (r.ts[s], r.ts[e], f)
                 )
                 yield binding + edge_sets + (inst.flow, inst.t_start, inst.t_end)
 
@@ -153,8 +152,8 @@ def topk_flows(
 
     Each executor runs the floating-threshold heap of § 5 (phi = 0 plus the
     k-th-best-so-far prune) over one batch of matches at a time, emitting
-    at most k flows per batch; the global top-k is a Catalyst sort-limit
-    over those candidates. Raises ``ValueError`` unless ``k >= 1``.
+    at most k flows per batch; the driver keeps the k best of those
+    candidates. Raises ``ValueError`` unless ``k >= 1``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -166,9 +165,7 @@ def topk_flows(
         return [(f,) for f in heap.flows()]
 
     out = p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
-    return [
-        r.flow for r in out.orderBy(F.desc("flow")).limit(k).collect()
-    ]
+    return sorted((r.flow for r in out.collect()), reverse=True)[:k]
 
 
 def max_flow(edges: DataFrame, motif: Motif, delta: float) -> float:

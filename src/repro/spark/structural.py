@@ -23,6 +23,11 @@ from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 from repro.core.motif import Motif
 
 
+def sql_double(x: float) -> str:
+    """``x`` as a Spark SQL literal of the exact same double."""
+    return f"{float(x)!r}D"  # repr round-trips; D: double, not decimal
+
+
 def node_columns(motif: Motif) -> list[str]:
     """Output column names v0..v{n-1}, one per distinct motif node."""
     return [f"v{i}" for i in range(motif.n_nodes)]
@@ -85,7 +90,7 @@ def structural_matches_df(
             cond += [f"_d{i} <> {c}" for c in bound.values()]
             bound[b] = f"_d{i}"
         if delta is not None:
-            d = f"{float(delta)!r}D"  # repr round-trips: the exact double
+            d = sql_double(delta)
             cond.append(
                 f"exists(ts{i}, x -> exists(ts{i - 1}, y -> x > y AND x - y <= {d}))"
             )

@@ -31,15 +31,19 @@ def random_series(rng: random.Random, m: int, max_len: int = 4) -> list[Series]:
 
 def assert_algo1_matches_definition(series, delta, phi):
     expected = bf.maximal_instances(series, delta, phi)
-    got = {
-        bf.ranges_to_idxsets(inst.ranges)
-        for inst in enumerate_instances(series, delta, phi)
-    }
-    assert got == expected
-    for inst in enumerate_instances(series, delta, phi):
-        assert inst.flow == bf.instance_flow(
-            series, bf.ranges_to_idxsets(inst.ranges)
-        )
+    insts = enumerate_instances(series, delta, phi)
+    assert {bf.ranges_to_idxsets(inst.ranges) for inst in insts} == expected
+    # strictly increasing: sorted as generated, and no instance twice
+    keys = [(inst.t_start, inst.ranges) for inst in insts]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for inst in insts:
+        sets = bf.ranges_to_idxsets(inst.ranges)
+        assert inst.flow == bf.instance_flow(series, sets)
+        for r, idx, f in zip(series, sets, inst.flows, strict=True):
+            acc = 0.0
+            for i in idx:
+                acc += r.fs[i]
+            assert f == acc
 
 
 @pytest.mark.parametrize("seed", range(40))

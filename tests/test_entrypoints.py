@@ -58,15 +58,34 @@ def test_run_experiments_names_every_harness():
     assert set(names) == harnesses
 
 
+#: Every PySpark entry point that runs Python code on the executors.
+EXECUTOR_PYTHON = {
+    "mapInPandas",
+    "applyInPandas",
+    "mapInArrow",
+    "applyInArrow",
+    "udf",
+    "pandas_udf",
+    "udtf",
+    "rdd",
+    "mapPartitions",
+    "foreachPartition",
+}
+
+
 def test_python_kernels_only_in_p2_driver():
-    """``mapInPandas``/``applyInPandas`` run Python on the executors; the one
-    P2 driver, ``repro.spark.search.p2``, is the only place allowed to."""
+    """Executor-side Python (``mapInPandas``, UDFs, RDD functions, ...,
+    whether called as an attribute or imported by name) runs only in the one
+    P2 driver, ``repro.spark.search.p2``."""
     callers = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in (
-                "mapInPandas",
-                "applyInPandas",
-            ):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            else:
+                continue
+            if names & EXECUTOR_PYTHON:
                 callers.add(path.relative_to(SRC).as_posix())
     assert callers == {"spark/search.py"}

@@ -6,9 +6,7 @@ import pytest
 from repro.core import bruteforce as bf
 from repro.core.instances import (
     Series,
-    count_instances,
     enumerate_instances,
-    instance_flow,
     is_maximal,
     window_end,
 )
@@ -80,8 +78,8 @@ class TestSingleEdgeMotif:
 
     def test_phi_filters(self):
         series = [Series([(0, 1.0), (10, 5.0)])]
-        assert count_instances(series, delta=2, phi=3) == 1
-        assert count_instances(series, delta=2, phi=6) == 0
+        assert len(enumerate_instances(series, delta=2, phi=3)) == 1
+        assert len(enumerate_instances(series, delta=2, phi=6)) == 0
 
     def test_overlapping_windows_yield_maximal_only(self):
         # anchors 0,2,4 with delta=3: {0,2}, {2,4} are maximal; {2} is not.
@@ -96,7 +94,7 @@ class TestTwoEdgeChain:
         # are unique globally in the model, but across edges equality must
         # still be rejected by the strict `<` comparisons.
         series = [Series([(5, 1.0)]), Series([(5, 1.0)])]
-        assert count_instances(series, delta=10, phi=0) == 0
+        assert len(enumerate_instances(series, delta=10, phi=0)) == 0
 
     def test_basic_instance(self):
         series = [Series([(1, 2.0)]), Series([(2, 3.0)])]
@@ -160,9 +158,6 @@ class TestMaximalityAndValidity:
         # e1 <- {(2,)} when (0,) could still be added (delta=10)
         assert not is_maximal(series, ((1, 1), (0, 0)), delta=10)
         assert is_maximal(series, ((1, 1), (0, 0)), delta=2)
-
-    def test_instance_flow_is_min_over_edges(self):
-        assert instance_flow(self.SERIES, ((0, 1), (1, 1))) == 1.0
 
 
 class TestPhiSubsetInvariant:

@@ -1,4 +1,7 @@
 """Distributed two-phase pipeline vs the pure-Python reference, end-to-end."""
+import random
+
+import pandas as pd
 import pytest
 
 from repro.core import bruteforce
@@ -7,7 +10,7 @@ from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import MOTIF_ORDER, MOTIFS
 from repro.core.search import count_graph, max_flow_graph, topk_graph
 from repro.spark import search as sp
-from repro.spark.graph import distinct_pairs
+from repro.spark.graph import check_interactions, distinct_pairs
 from repro.spark.join_baseline import find_instances_join
 from repro.spark.structural import structural_matches_df
 from tests.conftest import (
@@ -54,6 +57,28 @@ class TestFindInstances:
             sp.find_instances(to_spark_edges(spark, edges), motif, delta, phi)
         )
         assert got == py_instance_rows(edges, motif, delta, phi)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", ["M(3,2)", "M(3,3)", "M(4,3)", "M(4,4)B"])
+    def test_self_loops_never_match(self, spark, seed, name):
+        """Self-loops are valid input, and no instance uses one: every motif
+        edge joins two distinct motif nodes, which the bijection maps to
+        distinct vertices."""
+        motif = MOTIFS[name]
+        edges = random_edges(seed, n_nodes=6, n_edges=35, t_max=40)
+        rng = random.Random(seed)
+        loops = [
+            (rng.randrange(6), t / 10 + 0.05, float(rng.randint(1, 9)))
+            for t in rng.sample(range(400), 24)
+        ]
+        with_loops = edges + [(v, v, t, f) for v, t, f in loops]
+        check_interactions(pd.DataFrame(with_loops, columns=["src", "dst", "t", "f"]))
+        delta, phi = 12.0, 2.0
+        expected = py_instance_rows(edges, motif, delta, phi)
+        assert py_instance_rows(with_loops, motif, delta, phi) == expected
+        df = to_spark_edges(spark, with_loops)
+        assert instance_rows(sp.find_instances(df, motif, delta, phi)) == expected
+        assert instance_rows(find_instances_join(df, motif, delta, phi)) == expected
 
     def test_generated_dataset_counts(self, passenger_small):
         from repro.networks.generators import SPECS

@@ -6,7 +6,12 @@ from repro.core.motif import MOTIF_ORDER, MOTIFS
 from repro.core.structural import structural_matches
 from repro.oracle import assert_equivalent
 from repro.spark.graph import distinct_pairs
-from repro.spark.structural import matches_sql, node_columns, structural_matches_df
+from repro.spark.structural import (
+    matches_sql,
+    node_columns,
+    sql_double,
+    structural_matches_df,
+)
 from tests.conftest import random_edges, to_spark_edges
 
 PAIRS = [
@@ -103,3 +108,10 @@ class TestCountsAndShape:
         # sample) they cannot outnumber short ones by much; the paper's
         # Table 4 shows them strictly decreasing
         assert c43 < c32 * 10
+
+
+def test_sql_double_reads_back_as_the_same_double(spark):
+    xs = [0.30000000000000004, 5e-324, 1e-05, 1.7976931348623157e308, -1.0, 600.0]
+    df = spark.range(1).selectExpr(*[f"{sql_double(x)} AS c{i}" for i, x in enumerate(xs)])
+    assert {f.dataType.typeName() for f in df.schema} == {"double"}
+    assert tuple(df.first()) == tuple(xs)

@@ -30,9 +30,10 @@ class TestTopKHeap:
 
     def test_low_offers_ignored_when_full(self):
         h = TopKHeap(1)
-        h.offer(5.0, "a")
-        h.offer(4.0, "b")
-        assert h.items() == [(5.0, "a")]
+        h.offer(5.0)
+        h.offer(4.0)
+        assert h.flows() == [5.0]
+        assert h.threshold() == 5.0
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
