@@ -74,13 +74,16 @@ def load(spark: SparkSession, kind: str, *, sf: float = DEFAULT_SF, seed: int = 
     t double, f double): the input multigraph G(V, E) (DESIGN.md § 3).
 
     Memoized per ``(kind, sf, seed)`` so repeated harness calls reuse the
-    same cached RDD. The input contract is checked once, here
+    same cached RDD, which is filled here by one ``count()`` so that no
+    timed query pays for it. The input contract is checked once, here
     (:func:`repro.spark.graph.check_interactions`).
     """
     key = (kind, sf, seed)
     if key not in _LOAD_CACHE:
         pdf = check_interactions(generate(kind, sf=sf, seed=seed))
-        _LOAD_CACHE[key] = spark.createDataFrame(pdf).cache()
+        edges = spark.createDataFrame(pdf).cache()
+        edges.count()
+        _LOAD_CACHE[key] = edges
     return _LOAD_CACHE[key]
 
 
@@ -164,10 +167,17 @@ def fig8(
     """Runtime of the two-phase algorithm vs the join baseline at defaults.
 
     Both return the same instance count (asserted in tests); the paper
-    reports the two-phase algorithm ~2x faster.
+    reports the two-phase algorithm ~2x faster. One untimed run of each on
+    the first cell warms the session first, so that the first timed cell
+    does not pay for it.
     """
+    cells = list(_cells(spark, sf, seed, motifs))
+    if cells:
+        _, edges, delta, phi, motif = cells[0]
+        sp.count_instances(edges, motif, delta, phi)
+        count_instances_join(edges, motif, delta, phi)
     rows = []
-    for kind, edges, delta, phi, motif in _cells(spark, sf, seed, motifs):
+    for kind, edges, delta, phi, motif in cells:
         n_two, t_two = _timed(sp.count_instances, edges, motif, delta, phi)
         n_join, t_join = _timed(count_instances_join, edges, motif, delta, phi)
         rows.append(
@@ -347,7 +357,7 @@ def fig13_scalability(
     """#instances and runtime on time-prefix samples (B1..B5 analogues)."""
     rows = []
     for kind in DATASETS:
-        pdf = generate(kind, sf=sf, seed=seed)
+        pdf = check_interactions(generate(kind, sf=sf, seed=seed))
         delta, phi = defaults(kind)
         for frac in fractions:
             sample = time_prefix(pdf, frac, kind)

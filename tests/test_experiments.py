@@ -41,6 +41,15 @@ class TestLoad:
             ex.load(spark, "passenger", sf=SF, seed=901)
         assert ("passenger", SF, 901) not in ex._LOAD_CACHE
 
+    def test_cache_filled_before_return(self, spark):
+        """The first timed query on a network must not also fill its cache."""
+        def cached_rdds():
+            return len(spark.sparkContext._jsc.sc().getRDDStorageInfo())
+
+        before = cached_rdds()
+        ex.load(spark, "passenger", sf=SF, seed=902)
+        assert cached_rdds() == before + 1
+
 
 class TestTable3:
     def test_columns_and_rows(self, spark):
@@ -144,6 +153,15 @@ class TestFig13:
             grp = grp.sort_values("fraction")
             assert grp.n_edges.iloc[-1] >= grp.n_edges.iloc[0]
             assert grp.instances.iloc[-1] >= grp.instances.iloc[0]
+
+    def test_checks_input_contract(self, spark, monkeypatch):
+        def duplicated(kind, sf, seed):
+            pdf = generate(kind, sf=sf, seed=seed)
+            return pd.concat([pdf, pdf.head(1)])
+
+        monkeypatch.setattr(ex, "generate", duplicated)
+        with pytest.raises(ValueError, match=r"share a \(src, dst, t\)"):
+            ex.fig13_scalability(spark, sf=SF, fractions=(1.0,))
 
 
 class TestFig14:

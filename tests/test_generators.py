@@ -1,4 +1,6 @@
 """Tests for the synthetic interaction-network generators (DESIGN.md § 3)."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,6 +10,28 @@ from repro.core.structural import structural_matches
 from repro.networks import generators as gen
 
 SF = 0.4  # small but structurally non-trivial
+
+#: sha256 of ``hash_pandas_object(generate(kind, sf=sf, seed=seed),
+#: index=True)``, recorded with a row-wise ``DataFrame.nunique`` as
+#: ``_close_cycles``' distinct-node filter: an independent implementation
+#: of the same predicate.
+PINNED = {
+    ("bitcoin", 0.15, 0): "9fbf72c03df98f75f88014850f2bf1807d31093a79b27ad52c55997ab54cb450",
+    ("bitcoin", 0.15, 1): "c426019b737be6a767e233904ece94e68296f3f170253b60554fbf8f40892e81",
+    ("bitcoin", 0.5, 0): "559b0775f3b0fca4b9f988ac75a6b184dbbb61db5bec57f393538a3358d64ce9",
+    ("bitcoin", 0.5, 2): "30b7cf81cda63deba5b64a1832bb77103686b7cdaca44de4198aefa0a9a82c25",
+    ("bitcoin", 1.5, 0): "fd8e9ab0b7a91fbc4540972da14e4dba64f4375e3aa1dd719efe50d34b0f5aaa",
+    ("facebook", 0.15, 0): "f307f57f6794d7ef338bf841f85c8445f08dd8dca1c6ce437d40aaa84eb18f9a",
+    ("facebook", 0.15, 1): "53a0ffbda4ba9823c538083884128253d8173e121784614c7c645ce9b0b5bed7",
+    ("facebook", 0.5, 0): "850763864c496012f2c9c08308c2166da58a377ffef79676e775284978d7ebe4",
+    ("facebook", 0.5, 2): "474f5774a27de52e7307471e6ba89d125be4f88c98024ae57c48e8321085c3a5",
+    ("facebook", 1.5, 0): "72892b89a50bb6b4dd56d85dc9e9b558e6903c697f0b2e3531d4854e9c551d24",
+    ("passenger", 0.15, 0): "b92b7e2c25eb8cee22ad6aad25af2ca410cf4ad517de0978a51e50bb69d0e5b0",
+    ("passenger", 0.15, 1): "54767173346379322f96fdd437fe1f5270057ead2e1bf28862561ed49354fc23",
+    ("passenger", 0.5, 0): "93ec11ac2474d67c6add8fe89a34f49a4fa42ea856f3145d88931611c44ac10c",
+    ("passenger", 0.5, 2): "a349605f6efde8d5761c45db0877de9e1a185261d094a1048f1541621eb7f3c9",
+    ("passenger", 1.5, 0): "1d81ae2999c3065f357e1f2bf5179c22c95b05fffb9e31f8a32c352791597116",
+}
 
 
 @pytest.fixture(scope="module", params=gen.DATASETS)
@@ -58,6 +82,14 @@ class TestDeterminism:
         small = gen.generate(kind, sf=0.2, seed=0)
         big = gen.generate(kind, sf=0.6, seed=0)
         assert len(big) > len(small) * 1.5
+
+    @pytest.mark.parametrize("kind, sf, seed", list(PINNED), ids=str)
+    def test_output_pinned(self, kind, sf, seed):
+        """Every generated frame is byte-identical to a recorded one, so no
+        count pinned elsewhere can move with a change to the generator."""
+        pdf = gen.generate(kind, sf=sf, seed=seed)
+        got = pd.util.hash_pandas_object(pdf, index=True).to_numpy().tobytes()
+        assert hashlib.sha256(got).hexdigest() == PINNED[kind, sf, seed]
 
 
 class TestPaperShape:
