@@ -3,7 +3,9 @@
 One plan per query, all DataFrame-level until the per-match kernel:
 
 1. **G_T** — ``timeseries_graph``: one row per connected pair carrying its
-   interaction series ``ts``/``fs`` (Figure 5).
+   interaction series ``ts``/``fs`` (Figure 5). G_T is built once per
+   cached network, stored and read by every later query on it (both engines
+   share it); an uncached input gets G_T built inside the query's plan.
 2. **P1** — ``structural_matches_df`` over G_T: the self-join chain along
    the spanning path, so each match row already carries the series of every
    motif edge. Given delta, each join also drops (partial) matches whose

@@ -9,15 +9,19 @@ z-score z_M = (r_M - mu_M) / sigma_M over R random graphs. When every
 random count is the same (sigma_M = 0, always so for R = 1), z_M is +inf or
 -inf by the sign of r_M - mu_M, and 0 when they are equal.
 
-Because only flows change, the R + 1 graphs share G_T's grouping, the
-delta-pruned P1 matches and every delta-window, and :func:`significance`
-runs one plan for all of them. The driver collects the interactions once,
-checks the input contract on them, draws the R seeded permutations and
-attaches the permuted flows to each interaction as one ``fr`` array (R
-doubles); G_T then carries ``frs`` aligned with ``ts``, P1 runs once, and
-the P2 kernel counts every match R + 1 times (real flows ``fs``, then
-column r of ``frs``). The driver holds O(n * (R + 1)) flows for n
-interactions, as many doubles as the R permuted edge lists it replaces.
+Because only flows change, the R + 1 graphs share G_T, the delta-pruned
+P1 matches and every delta-window, and :func:`significance` runs one plan
+for all of them: P1 over the network's own G_T (the stored one of a cached
+network, see :func:`repro.spark.graph.timeseries_graph`), so a
+significance query reads the same G_T as every other query. The driver
+collects the interactions once, checks the input contract on them and
+draws the R seeded permutations into one matrix (row i: the R permuted
+flows of interaction i), whose rows it orders by connected pair and time,
+as G_T orders each pair's series. That matrix and each pair's row range
+ship with the P2 kernel, which counts every match R + 1 times (real flows
+``fs``, then column r of each motif edge's rows). The driver holds
+O(n * (R + 1)) flows for n interactions, as many doubles as the R permuted
+edge lists it replaces.
 """
 from __future__ import annotations
 
@@ -28,14 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql.types import (
-    ArrayType,
-    DoubleType,
-    IntegerType,
-    LongType,
-    StructField,
-    StructType,
-)
+from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
@@ -66,6 +63,23 @@ def _permuted_flows(f: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     return np.column_stack(
         [f[np.random.default_rng(s).permutation(n)] for s in seeds]
     )
+
+
+def _flows_by_pair(
+    pdf: pd.DataFrame, fr: np.ndarray
+) -> tuple[np.ndarray, dict[tuple[int, int], tuple[int, int]]]:
+    """``fr`` (one row per interaction of ``pdf``) with its rows ordered by
+    ``(src, dst, t)``, and each connected pair's ``(start, stop)`` rows in
+    it: a pair's rows follow its series in G_T, which is sorted by ``t``."""
+    src, dst = pdf["src"].to_numpy(), pdf["dst"].to_numpy()
+    order = np.lexsort((pdf["t"].to_numpy(), dst, src))
+    src, dst = src[order], dst[order]
+    starts = np.flatnonzero(np.r_[True, (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])])
+    stops = np.r_[starts[1:], len(order)]
+    rows = {
+        (int(src[a]), int(dst[a])): (int(a), int(b)) for a, b in zip(starts, stops)
+    }
+    return fr[order], rows
 
 
 def permute_flows(edges: DataFrame, seed: int) -> DataFrame:
@@ -117,25 +131,23 @@ def significance(
         raise ValueError(f"n_random must be >= 1, got {n_random}")
     pdf = _sorted_interactions(edges)
     seeds = [seed * 1000 + r for r in range(n_random)]
-    pdf["fr"] = _permuted_flows(pdf["f"].to_numpy(), seeds).tolist()
-    schema = edges.select("src", "dst", "t", "f").schema
-    schema = schema.add("fr", ArrayType(DoubleType()))
-    flows = edges.sparkSession.createDataFrame(pdf, schema=schema)
+    fr, rows = _flows_by_pair(pdf, _permuted_flows(pdf["f"].to_numpy(), seeds))
     m = motif.m
+    ends = [(f"v{a}", f"v{b}") for a, b in motif.edges]
 
     def per_batch(matches: Iterator[tuple[dict, list[Series]]]) -> list[tuple]:
         counts = [0] * (n_random + 1)
         for rd, series in matches:
             counts[0] += len(enumerate_instances(series, delta, phi))
             ts = [rd[f"ts{i}"] for i in range(m)]
-            frs = [np.stack(rd[f"frs{i}"]) for i in range(m)]
+            frs = [fr[slice(*rows[rd[a], rd[b]])] for a, b in ends]
             for r in range(n_random):
-                permuted = [Series(zip(t, fr[:, r])) for t, fr in zip(ts, frs)]
+                permuted = [Series(zip(t, f[:, r])) for t, f in zip(ts, frs)]
                 counts[r + 1] += len(enumerate_instances(permuted, delta, phi))
         return list(enumerate(counts))
 
     totals = [0] * (n_random + 1)
-    for r, n in p2(flows, motif, delta, per_batch, _COUNTS_SCHEMA).collect():
+    for r, n in p2(edges, motif, delta, per_batch, _COUNTS_SCHEMA).collect():
         totals[r] += n
     real, counts = totals[0], totals[1:]
     mu = float(np.mean(counts))

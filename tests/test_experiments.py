@@ -12,6 +12,7 @@ from repro.core.motif import MOTIFS
 from repro.core.search import count_graph
 from repro.core.structural import structural_matches
 from repro.networks.generators import generate
+from repro.spark import search as sp
 
 SF = 0.15
 
@@ -42,13 +43,17 @@ class TestLoad:
         assert ("passenger", SF, 901) not in ex._LOAD_CACHE
 
     def test_cache_filled_before_return(self, spark):
-        """The first timed query on a network must not also fill its cache."""
+        """The first timed query on a network must not also fill its caches:
+        the interactions and the stored G_T."""
         def cached_rdds():
             return len(spark.sparkContext._jsc.sc().getRDDStorageInfo())
 
         before = cached_rdds()
-        ex.load(spark, "passenger", sf=SF, seed=902)
-        assert cached_rdds() == before + 1
+        edges = ex.load(spark, "passenger", sf=SF, seed=902)
+        assert cached_rdds() == before + 2
+        delta, phi = ex.defaults("passenger")
+        sp.count_instances(edges, MOTIFS["M(3,2)"], delta, phi)
+        assert cached_rdds() == before + 2
 
 
 class TestTable3:

@@ -1,10 +1,16 @@
 """Spark graph layer: time-series graph construction and Table 3 stats."""
+import gc
+import itertools
+
 import pytest
 
 from repro import experiments
+from repro.core.motif import MOTIFS
 from repro.oracle import assert_equivalent
+from repro.spark import search
 from repro.spark.graph import STATS_SQL, dataset_stats, distinct_pairs, timeseries_graph
-from tests.conftest import to_spark_edges
+from repro.spark.significance import significance
+from tests.conftest import random_edges, to_spark_edges
 
 EDGES = [
     (1, 2, 13.0, 5.0),
@@ -32,7 +38,7 @@ class TestTimeseriesGraph:
 
     def test_further_columns_aligned_with_ts(self, spark):
         """Any column besides src/dst/t becomes an array aligned with ts,
-        named with an ``s`` suffix (significance carries permuted flows)."""
+        named with an ``s`` suffix."""
         df = spark.createDataFrame(
             [(1, 2, 15.0, 7.0, [1.0, 2.0]), (1, 2, 13.0, 5.0, [3.0, 4.0])],
             schema="src long, dst long, t double, f double, fr array<double>",
@@ -56,6 +62,86 @@ class TestTimeseriesGraph:
             distinct_pairs(bitcoin_small).count()
             == timeseries_graph(bitcoin_small).count()
         )
+
+
+class TestStoredTimeseriesGraph:
+    """A cached network's G_T is built once, stored and freed with it; an
+    uncached frame's G_T is built inside each query's plan."""
+
+    #: Spark caches by plan, so each test caches a network of its own.
+    seeds = itertools.count(100)
+
+    def cached_network(self, spark):
+        edges = to_spark_edges(spark, random_edges(next(self.seeds))).cache()
+        edges.count()
+        return edges
+
+    @staticmethod
+    def storage_info(spark):
+        return len(spark.sparkContext._jsc.sc().getRDDStorageInfo())
+
+    def test_one_gt_per_cached_network(self, spark):
+        edges = self.cached_network(spark)
+        assert timeseries_graph(edges) is timeseries_graph(edges)
+
+    def test_stored_gt_is_cached(self, spark):
+        edges = self.cached_network(spark)
+        assert timeseries_graph(edges).storageLevel.useMemory
+
+    def test_stored_gt_has_one_partition_per_core(self, spark):
+        edges = self.cached_network(spark)
+        gt = timeseries_graph(edges)
+        assert gt.rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
+
+    def test_uncached_input_adds_no_cache(self, spark):
+        edges = self.cached_network(spark)
+        stored = timeseries_graph(edges)
+        stored.count()
+        before = self.storage_info(spark)
+        uncached = to_spark_edges(spark, EDGES)
+        gt = timeseries_graph(uncached)
+        gt.count()
+        assert self.storage_info(spark) == before
+        assert stored.storageLevel.useMemory and not gt.storageLevel.useMemory
+
+    def test_significance_adds_no_cache(self, spark):
+        """Significance reads the stored G_T and caches nothing of its own."""
+        edges = self.cached_network(spark)
+        timeseries_graph(edges).count()
+        before = self.storage_info(spark)
+        significance(edges, MOTIFS["M(3,2)"], 10.0, 1.0, n_random=2)
+        assert self.storage_info(spark) == before
+        assert timeseries_graph(edges).storageLevel.useMemory
+
+    def test_significance_reads_stored_gt(self, spark, monkeypatch):
+        """Significance runs P1 over the network's own (stored) G_T, like
+        every other query, not over a G_T of a frame of its own."""
+        edges = self.cached_network(spark)
+        inputs = []
+
+        def spy(frame):
+            inputs.append(frame)
+            return timeseries_graph(frame)
+
+        monkeypatch.setattr(search, "timeseries_graph", spy)
+        significance(edges, MOTIFS["M(3,2)"], 10.0, 1.0, n_random=2)
+        assert len(inputs) == 1 and inputs[0] is edges
+
+    def test_stored_gt_freed_with_its_network(self, spark):
+        sc = spark.sparkContext
+
+        def persistent_rdds():
+            return set(sc._jsc.getPersistentRDDs().keySet())
+
+        edges = self.cached_network(spark)
+        before = persistent_rdds()
+        timeseries_graph(edges).count()
+        stored = persistent_rdds() - before
+        assert len(stored) == 1
+        edges.unpersist()
+        del edges
+        gc.collect()
+        assert not stored & persistent_rdds()
 
 
 class TestDatasetStats:
