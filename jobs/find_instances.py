@@ -11,7 +11,7 @@ from pyspark.sql import SparkSession
 
 from repro import experiments
 from repro.core.motif import MOTIFS
-from repro.networks.generators import DATASETS
+from repro.networks.generators import DATASETS, SPECS
 from repro.spark import search as sp
 
 
@@ -30,9 +30,9 @@ def main() -> None:
 
     spark = SparkSession.builder.appName("find_instances").getOrCreate()
     edges = experiments.load(spark, args.dataset, sf=args.sf, seed=args.seed)
-    d_def, p_def = experiments.defaults(args.dataset)
-    delta = args.delta if args.delta is not None else d_def
-    phi = args.phi if args.phi is not None else p_def
+    spec = SPECS[args.dataset]
+    delta = args.delta if args.delta is not None else spec.delta_default
+    phi = args.phi if args.phi is not None else spec.phi_default
     motif = MOTIFS[args.motif]
 
     if args.mode == "enumerate":

@@ -66,14 +66,6 @@ class Series:
             acc += f
         return acc
 
-    def first_after(self, t: float) -> int:
-        """Index of the first element with timestamp strictly greater than t."""
-        return bisect_right(self.ts, t)
-
-    def last_at_or_before(self, t: float) -> int:
-        """Index of the last element with timestamp <= t, or -1."""
-        return bisect_right(self.ts, t) - 1
-
 
 def window_end(a: float, delta: float) -> float:
     """The largest float ``t`` with ``t - a <= delta``: where the window of
@@ -174,7 +166,7 @@ def _find_instances(
     each candidate to ``out`` as its ``(ranges, flows)``.
     """
     r = series[edge_i]
-    last = r.last_at_or_before(hi)
+    last = bisect_right(r.ts, hi) - 1  # last element at or before hi
     if start_idx > last:
         return
     if edge_i == len(series) - 1:
@@ -191,7 +183,7 @@ def _find_instances(
             _find_instances(
                 series,
                 edge_i + 1,
-                series[edge_i + 1].first_after(r.ts[e]),
+                bisect_right(series[edge_i + 1].ts, r.ts[e]),
                 hi,
                 phi_fn,
                 out,

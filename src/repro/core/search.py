@@ -15,7 +15,7 @@ from .dp import max_flow as _dp_max_flow
 from .instances import Instance, Series, enumerate_instances
 from .motif import Motif
 from .structural import Match, match_edge_pairs, structural_matches
-from .topk import TopKHeap, topk_scan_match
+from .topk import topk_flows
 
 Edge = tuple[Hashable, Hashable, float, float]  # (src, dst, t, f)
 
@@ -54,10 +54,8 @@ def count_graph(edges: Sequence[Edge], motif: Motif, delta: float, phi: float) -
 def topk_graph(edges: Sequence[Edge], motif: Motif, delta: float, k: int) -> list[float]:
     """Flows of the global top-k instances (Fig. 11), best first."""
     series = build_series(edges)
-    heap = TopKHeap(k)
-    for match in structural_matches(series.keys(), motif):
-        topk_scan_match(_match_series(series, motif, match), delta, heap)
-    return heap.flows()
+    matches = structural_matches(series.keys(), motif)
+    return topk_flows((_match_series(series, motif, m) for m in matches), delta, k)
 
 
 def max_flow_graph(edges: Sequence[Edge], motif: Motif, delta: float) -> float:

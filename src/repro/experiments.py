@@ -95,12 +95,6 @@ def load(spark: SparkSession, kind: str, *, sf: float = DEFAULT_SF, seed: int = 
     return _LOAD_CACHE[key]
 
 
-def defaults(kind: str) -> tuple[float, float]:
-    """The paper's default (delta, phi) for one dataset (§ 6.2)."""
-    spec = SPECS[kind]
-    return spec.delta_default, spec.phi_default
-
-
 def _cells(
     spark: SparkSession, sf: float, seed: int, motifs: Sequence[str]
 ) -> Iterator[tuple[str, DataFrame, float, float, Motif]]:
@@ -108,7 +102,7 @@ def _cells(
     the dataset's default (delta, phi)."""
     for kind in DATASETS:
         edges = load(spark, kind, sf=sf, seed=seed)
-        delta, phi = defaults(kind)
+        delta, phi = SPECS[kind].delta_default, SPECS[kind].phi_default
         for name in motifs:
             yield kind, edges, delta, phi, MOTIFS[name]
 
@@ -366,7 +360,7 @@ def fig13_scalability(
     rows = []
     for kind in DATASETS:
         pdf = check_interactions(generate(kind, sf=sf, seed=seed))
-        delta, phi = defaults(kind)
+        delta, phi = SPECS[kind].delta_default, SPECS[kind].phi_default
         for frac in fractions:
             sample = time_prefix(pdf, frac, kind)
             edges = spark.createDataFrame(

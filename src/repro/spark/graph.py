@@ -33,9 +33,9 @@ SELECT
 
 def check_interactions(pdf: pd.DataFrame) -> pd.DataFrame:
     """The input contract, on the driver: no two interactions share a
-    ``(src, dst, t)`` (G_T's series need unique timestamps), and every flow
-    ``f`` is non-null, finite and > 0. Returns ``pdf``; raises
-    ``ValueError`` on a violation.
+    ``(src, dst, t)`` (G_T's series need unique timestamps), every timestamp
+    ``t`` is non-null and finite, and every flow ``f`` is non-null, finite
+    and > 0. Returns ``pdf``; raises ``ValueError`` on a violation.
 
     Self-loops (``src == dst``) are accepted and never match: every motif
     edge joins two distinct motif nodes, and Definition 3.2's bijection
@@ -45,6 +45,12 @@ def check_interactions(pdf: pd.DataFrame) -> pd.DataFrame:
         raise ValueError(
             f"{int(dup.sum())} interactions share a (src, dst, t), e.g. "
             f"{pdf[dup].iloc[0].to_dict()}; timestamps must be unique per pair"
+        )
+    bad = ~np.isfinite(pdf["t"].to_numpy(dtype=float, na_value=np.nan))
+    if bad.any():
+        raise ValueError(
+            f"{int(bad.sum())} interactions have a null, NaN or infinite "
+            f"timestamp, e.g. {pdf[bad].iloc[0].to_dict()}; timestamps must be finite"
         )
     f = pdf["f"].to_numpy(dtype=float, na_value=np.nan)
     bad = ~(np.isfinite(f) & (f > 0))
@@ -65,10 +71,9 @@ def timeseries_graph(edges: DataFrame) -> DataFrame:
     """Multigraph -> G_T: (src, dst, ts array<double>, fs array<double>).
 
     Parallel edges between the same pair are merged into a time-sorted
-    interaction series; sorting by the (t, f, ...) struct is sorting by t
-    since timestamps are unique within a pair. Every column other than
-    ``src``/``dst``/``t`` becomes an array aligned with ``ts``, named with
-    an ``s`` suffix: ``f`` -> ``fs``, ``fr`` -> ``frs``.
+    interaction series; sorting by the (t, f) struct is sorting by t since
+    timestamps are unique within a pair. Any other column of ``edges`` is
+    dropped.
 
     G_T is the stored form of a cached network: the first call on a cached
     ``edges`` builds G_T in one partition per core (``defaultParallelism``;
@@ -84,15 +89,11 @@ def timeseries_graph(edges: DataFrame) -> DataFrame:
     gt = _STORED_GT.get(edges)
     if gt is not None:
         return gt
-    values = [c for c in edges.columns if c not in ("src", "dst", "t")]
-    fields = ", ".join(f"`{c}`" for c in ("t", *values))
     # SQL text: one JVM round trip per call (see repro.spark.structural)
     gt = (
         edges.groupBy("src", "dst")
-        .agg(F.expr(f"sort_array(collect_list(struct({fields}))) AS tf"))
-        .selectExpr(
-            "src", "dst", "tf.t AS ts", *[f"tf.`{c}` AS `{c}s`" for c in values]
-        )
+        .agg(F.expr("sort_array(collect_list(struct(t, f))) AS tf"))
+        .selectExpr("src", "dst", "tf.t AS ts", "tf.f AS fs")
     )
     if edges.storageLevel.useMemory:
         parts = edges.sparkSession.sparkContext.defaultParallelism

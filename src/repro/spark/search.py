@@ -29,10 +29,10 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
+from repro.core import topk
 from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
-from repro.core.topk import TopKHeap, topk_scan_match
 from repro.spark.graph import timeseries_graph
 from repro.spark.structural import instance_schema, node_columns, structural_matches_df
 
@@ -47,9 +47,8 @@ def matches_with_series(
 ) -> DataFrame:
     """P1 over G_T: structural matches with every motif edge's series.
 
-    Output columns: ``v0..v{n-1}``, then ``ts{i}``/``fs{i}`` (and ``{c}s{i}``
-    for any further column ``c`` of ``edges``) for each motif edge i.
-    Without ``delta`` there is one row per structural match; with it,
+    Output columns: ``v0..v{n-1}``, then ``ts{i}``/``fs{i}`` for each motif
+    edge i. Without ``delta`` there is one row per structural match; with it,
     matches that cannot hold an instance of duration <= delta are pruned in
     the join chain.
     """
@@ -95,8 +94,6 @@ def p2(
 
     The input is :func:`matches_with_series` pruned by ``delta``; each match
     reaches ``per_batch`` as its row and its per-edge :class:`Series` list.
-    Any further column of ``edges`` rides along in the row, per motif edge
-    (see :func:`repro.spark.graph.timeseries_graph`).
     """
     m = motif.m
 
@@ -161,10 +158,7 @@ def topk_flows(
         raise ValueError(f"k must be >= 1, got {k}")
 
     def per_batch(matches: Iterator[_Match]) -> list[tuple]:
-        heap = TopKHeap(k)
-        for _, series in matches:
-            topk_scan_match(series, delta, heap)
-        return [(f,) for f in heap.flows()]
+        return [(f,) for f in topk.topk_flows((s for _, s in matches), delta, k)]
 
     out = p2(edges, motif, delta, per_batch, _FLOW_SCHEMA)
     return sorted((r.flow for r in out.collect()), reverse=True)[:k]

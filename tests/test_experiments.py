@@ -11,7 +11,7 @@ from repro import experiments as ex
 from repro.core.motif import MOTIFS
 from repro.core.search import count_graph
 from repro.core.structural import structural_matches
-from repro.networks.generators import generate
+from repro.networks.generators import SPECS, generate
 from repro.spark import search as sp
 
 SF = 0.15
@@ -31,8 +31,13 @@ class TestLoad:
             (lambda pdf: pd.concat([pdf, pdf.head(1)]), r"share a \(src, dst, t\)"),
             (lambda pdf: pdf.assign(f=pdf.f.where(pdf.index != 3, 0.0)), "non-positive"),
             (lambda pdf: pdf.assign(f=pdf.f.where(pdf.index != 3)), "null, NaN"),
+            (lambda pdf: pdf.assign(t=pdf.t.where(pdf.index != 3)), "infinite timestamp"),
+            (
+                lambda pdf: pdf.assign(t=pdf.t.where(pdf.index != 3, float("inf"))),
+                "infinite timestamp",
+            ),
         ],
-        ids=["duplicate", "zero-flow", "null-flow"],
+        ids=["duplicate", "zero-flow", "null-flow", "nan-time", "inf-time"],
     )
     def test_rejects_broken_input(self, spark, monkeypatch, broken, match):
         monkeypatch.setattr(
@@ -51,7 +56,8 @@ class TestLoad:
         before = cached_rdds()
         edges = ex.load(spark, "passenger", sf=SF, seed=902)
         assert cached_rdds() == before + 2
-        delta, phi = ex.defaults("passenger")
+        spec = SPECS["passenger"]
+        delta, phi = spec.delta_default, spec.phi_default
         sp.count_instances(edges, MOTIFS["M(3,2)"], delta, phi)
         assert cached_rdds() == before + 2
 
@@ -128,7 +134,7 @@ class TestFig9And10:
         assert len(df) == 3 * 2 * len(factors)
         fixed = "phi" if swept == "delta" else "delta"
         for (kind, name), grp in df.groupby(["dataset", "motif"]):
-            default = dict(zip(("delta", "phi"), ex.defaults(kind)))
+            default = dict(delta=SPECS[kind].delta_default, phi=SPECS[kind].phi_default)
             assert list(grp[swept]) == [default[swept] * fac for fac in factors]
             assert (grp[fixed] == default[fixed]).all()
             edges = _edges(kind)

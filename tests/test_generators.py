@@ -5,7 +5,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import MOTIFS, count_graph
+from repro.core.motif import MOTIFS
+from repro.core.search import count_graph
 from repro.core.structural import structural_matches
 from repro.networks import generators as gen
 

@@ -32,15 +32,6 @@ class TestSeries:
         assert s.range_sum(2, 9) == 0.7999999999999999
         assert bf.instance_flow([s], (tuple(range(10)),)) == s.range_sum(0, 9)
 
-    def test_first_after_and_last_at_or_before(self):
-        s = Series([(1, 1), (3, 1), (5, 1)])
-        assert s.first_after(0) == 0
-        assert s.first_after(1) == 1
-        assert s.first_after(5) == 3
-        assert s.last_at_or_before(0) == -1
-        assert s.last_at_or_before(3) == 1
-        assert s.last_at_or_before(9) == 2
-
     def test_window_end_is_definition_3_2s_bound(self):
         # 0.30000000000000004 <= 0.1 + 0.2, yet 0.30000000000000004 - 0.1 > 0.2
         hi = window_end(0.1, 0.2)
