@@ -8,9 +8,12 @@ distribution (matching the paper's "avg flow per edge"), temporal density
 relative to the default delta, and cyclicity. DESIGN.md § 3 documents each
 substitution.
 
-All generators return a pandas DataFrame with columns ``src``/``dst``
-(int64 node ids), ``t`` (float seconds, globally unique — the paper assumes
-unique timestamps) and ``f`` (positive float flow), sorted by ``t``.
+:func:`generate` draws connected pairs, background interactions over them,
+and flow cascades (random walks, then closed cycles) laid out by one
+emitter, :func:`_emit`. It returns a pandas DataFrame with columns
+``src``/``dst`` (int64 node ids), ``t`` (float seconds, globally unique —
+the paper assumes unique timestamps) and ``f`` (positive float flow),
+sorted by ``t``.
 
 ``sf`` scales the number of connected pairs (and hence interactions); the
 time span is fixed per dataset so that time-prefix sampling (Fig. 13's
@@ -19,7 +22,10 @@ B1..B5 / F1..F5 / T1..T4) behaves like the paper's.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -31,7 +37,6 @@ class Spec:
 
     n_nodes: int
     n_pairs: int
-    mult_mean: float  # target mean interactions per connected pair (Table 3)
     bg_mult: float  # mean *background* interactions per pair (Poisson, may be 0;
     # cascades supply the rest of the multi-edge budget)
     span: float  # seconds covered by the dataset
@@ -43,11 +48,11 @@ class Spec:
 #: Passenger delta=900 phi=2. Spans are chosen so the interaction rate per
 #: delta-window is non-trivial at sf=1 (see DESIGN.md § 3).
 SPECS: dict[str, Spec] = {
-    "bitcoin": Spec(n_nodes=4000, n_pairs=6000, mult_mean=1.4, bg_mult=0.75,
+    "bitcoin": Spec(n_nodes=4000, n_pairs=6000, bg_mult=0.75,
                     span=201_600.0, delta_default=600.0, phi_default=5.0),
-    "facebook": Spec(n_nodes=1500, n_pairs=3500, mult_mean=3.2, bg_mult=2.40,
+    "facebook": Spec(n_nodes=1500, n_pairs=3500, bg_mult=2.40,
                      span=324_000.0, delta_default=600.0, phi_default=3.0),
-    "passenger": Spec(n_nodes=40, n_pairs=300, mult_mean=2.8, bg_mult=1.15,
+    "passenger": Spec(n_nodes=40, n_pairs=300, bg_mult=1.15,
                       span=93_600.0, delta_default=900.0, phi_default=2.0),
 }
 
@@ -64,15 +69,15 @@ Cycles = list[tuple[int, ...]]  # node tuples n0..nk of created (k+1)-cycles
 
 
 def _close_cycles(
-    pairs: pd.DataFrame, fracs: dict[int, float], g: np.random.Generator
+    pairs: pd.DataFrame, c: float, g: np.random.Generator
 ) -> tuple[pd.DataFrame, Cycles]:
     """Add closing edges (path end -> path start) for sampled k-paths.
 
-    ``fracs`` maps path length k (2, 3, 4) to the fraction of |pairs| to
-    close, creating directed (k+1)-cycles. This gives the generated graphs
-    triangles, 4-cycles and 5-cycles so the cyclic motifs of Figure 3
-    (M(3,3), M(4,4)A, M(5,5)A, ...) have structural matches, as they do in
-    the paper's Bitcoin and Facebook networks. Returns the extended pair
+    For path length k = 2, 3, 4 it closes c / (k - 1) of |pairs|, creating
+    directed (k+1)-cycles. This gives the generated graphs triangles,
+    4-cycles and 5-cycles so the cyclic motifs of Figure 3 (M(3,3),
+    M(4,4)A, M(5,5)A, ...) have structural matches, as they do in the
+    paper's Bitcoin and Facebook networks. Returns the extended pair
     set plus the node tuples of the created cycles — generate() emits
     temporal cascades along a sample of them so the cycles are realized in
     time, not just in structure.
@@ -85,7 +90,7 @@ def _close_cycles(
     """
     out = pairs
     cycles: Cycles = []
-    for k, frac in sorted(fracs.items()):
+    for k in (2, 3, 4):
         walk = out.rename(columns={"src": "n0", "dst": "n1"})
         step = out.rename(columns={"src": "a", "dst": "b"})
         for i in range(1, k):
@@ -103,7 +108,7 @@ def _close_cycles(
                 walk = walk.iloc[
                     g.choice(len(walk), size=200_000, replace=False)
                 ]
-        n_close = int(len(out) * frac)
+        n_close = int(len(out) * (c / (k - 1)))
         if len(walk) == 0 or n_close == 0:
             continue
         take = walk.iloc[
@@ -138,7 +143,7 @@ def _bitcoin_pairs(
     src = g.choice(n_nodes, size=over, p=w)
     dst = g.choice(n_nodes, size=over, p=w)
     pairs = _dedupe_pairs(src, dst, n_pairs)
-    return _close_cycles(pairs, {2: 0.12, 3: 0.12 / 2, 4: 0.12 / 3}, g)
+    return _close_cycles(pairs, 0.12, g)
 
 
 def _facebook_pairs(
@@ -162,7 +167,7 @@ def _facebook_pairs(
         [pairs, recip.rename(columns={"src": "dst", "dst": "src"})],
         ignore_index=True,
     ).drop_duplicates().reset_index(drop=True)
-    return _close_cycles(pairs, {2: 0.08, 3: 0.08 / 2, 4: 0.08 / 3}, g)
+    return _close_cycles(pairs, 0.08, g)
 
 
 def _passenger_pairs(
@@ -220,103 +225,80 @@ def _passenger_flows(n: int, g: np.random.Generator) -> np.ndarray:
     return (1 + g.poisson(0.74, n)).astype(np.float64)
 
 
-def _cascades(
-    pairs: pd.DataFrame,
-    n_cascades: int,
-    delta: float,
-    span: float,
-    g: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flow cascades: time-ordered interaction chains along random walks.
+#: A cascade: its (u, v) hops in time order, the chance a hop doubles, and
+#: the gap divisor d (see :func:`_emit`).
+Cascade = tuple[Iterator[tuple[int, int]], float, int]
 
-    Real interaction networks transfer flow along paths (the paper's core
-    finding — Fig. 14's z-scores exist *because* flow is propagated, not
-    generated/consumed arbitrarily). Each cascade walks the pair graph for
-    2–5 hops, emitting 1–2 interactions per hop with inter-hop gaps in
-    [delta/20, delta/4], so most cascades fit inside the default
-    delta-window and instantiate chain/cycle motifs. Returns (src, dst, t)
-    arrays; flows are assigned by the caller (flow-coherent: see generate).
-    """
-    from collections import defaultdict
 
+def _walks(pairs: pd.DataFrame, n: int, g: np.random.Generator) -> Iterator[Cascade]:
+    """``n`` random walks of 2–5 hops, as cascades that double a hop with
+    chance 0.3 and space hops <= delta/4. Each walk is lazy: it draws its
+    next hop only after the emitter's draws for the previous hop."""
     adj: dict[int, list[int]] = defaultdict(list)
     for u, v in zip(pairs.src.values, pairs.dst.values):
         adj[int(u)].append(int(v))
-    starts = list(adj.keys())
-    if not starts or n_cascades <= 0:
-        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))
-    srcs: list[int] = []
-    dsts: list[int] = []
-    ts: list[float] = []
-    for _ in range(n_cascades):
-        start = starts[g.integers(0, len(starts))]
-        u = start
-        visited = [start]
-        t = float(g.uniform(0, span * 0.95))
-        hops = int(g.integers(2, 6))
-        for hop in range(hops):
-            outs = adj.get(u)
-            if not outs:
-                break
-            # Bias late hops back to an already-visited node when the
-            # structure allows, realizing *temporal* cycles — including the
-            # return-to-middle variants M(4,4)B/C and M(5,5)B/C.
-            back = [w for w in visited if w in outs] if hop >= 1 else []
-            if back and g.random() < 0.5:
-                v = back[g.integers(0, len(back))]
-            else:
-                v = outs[g.integers(0, len(outs))]
-            reps = 2 if g.random() < 0.3 else 1
-            for r in range(reps):
-                srcs.append(u)
-                dsts.append(v)
-                ts.append(t + r * delta / 40)
-            t += float(g.uniform(delta / 20, delta / 4))
-            u = v
-            if v not in visited:
-                visited.append(v)
-    return (
-        np.asarray(srcs, np.int64),
-        np.asarray(dsts, np.int64),
-        np.asarray(ts, np.float64),
-    )
+    starts = list(adj)
+    for _ in range(n if starts else 0):
+        yield _walk(adj, starts[g.integers(0, len(starts))], g), 0.3, 4
 
 
-def _cycle_cascades(
-    cycles: Cycles,
-    n_cascades: int,
-    delta: float,
-    span: float,
-    g: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Temporal cascades along structural cycles created by closure.
+def _walk(
+    adj: dict[int, list[int]], u: int, g: np.random.Generator
+) -> Iterator[tuple[int, int]]:
+    visited = [u]
+    for hop in range(int(g.integers(2, 6))):
+        outs = adj.get(u)
+        if not outs:
+            return
+        # Bias late hops back to an already-visited node when the structure
+        # allows, realizing *temporal* cycles — including the
+        # return-to-middle variants M(4,4)B/C and M(5,5)B/C.
+        back = [w for w in visited if w in outs] if hop >= 1 else []
+        if back and g.random() < 0.5:
+            v = back[g.integers(0, len(back))]
+        else:
+            v = outs[g.integers(0, len(outs))]
+        yield u, v
+        u = v
+        if v not in visited:
+            visited.append(v)
 
-    A sampled cycle (n0, ..., nk) emits time-ordered interactions along
-    n0->n1->...->nk->n0 within roughly one delta-window, so cyclic motifs
-    are realized in time as well as structure (the paper observes cyclic
-    flow to be common in Bitcoin/Facebook).
-    """
-    if not cycles or n_cascades <= 0:
-        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))
-    srcs: list[int] = []
-    dsts: list[int] = []
-    ts: list[float] = []
-    for _ in range(n_cascades):
+
+def _cycle_walks(cycles: Cycles, n: int, g: np.random.Generator) -> Iterator[Cascade]:
+    """``n`` sampled cycles (n0, ..., nk), each as the cascade of its closed
+    hop list n0->n1->...->nk->n0: it doubles a hop with chance 0.25 and
+    spaces hops <= delta/6, so a cycle fits in about one delta-window."""
+    for _ in range(n if cycles else 0):
         cyc = cycles[g.integers(0, len(cycles))]
-        edges = list(zip(cyc, cyc[1:])) + [(cyc[-1], cyc[0])]
+        yield zip(cyc, cyc[1:] + cyc[:1]), 0.25, 6
+
+
+def _emit(
+    cascades: Iterable[Cascade], delta: float, span: float, g: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flow cascades: time-ordered interaction chains along hop sequences.
+
+    Real interaction networks transfer flow along paths (the paper's core
+    finding — Fig. 14's z-scores exist *because* flow is propagated, not
+    generated/consumed arbitrarily). Each cascade starts at a uniform time
+    in the span. Each hop emits 1 interaction, or with the cascade's
+    probability 2 that are delta/40 apart, and the next hop follows a
+    uniform gap in [delta/20, delta/d]. So most cascades fit inside the
+    default delta-window and instantiate chain and cycle motifs. Returns
+    (src, dst, t) arrays; flows are assigned by the caller (flow-coherent:
+    see generate).
+    """
+    hops: list[tuple[int, int]] = []
+    ts: list[float] = []
+    for cascade, p_rep, d in cascades:
         t = float(g.uniform(0, span * 0.95))
-        for u, v in edges:
-            reps = 2 if g.random() < 0.25 else 1
-            for r in range(reps):
-                srcs.append(u)
-                dsts.append(v)
-                ts.append(t + r * delta / 40)
-            t += float(g.uniform(delta / 20, delta / 6))
-    return (
-        np.asarray(srcs, np.int64),
-        np.asarray(dsts, np.int64),
-        np.asarray(ts, np.float64),
-    )
+        for u, v in cascade:
+            reps = 2 if g.random() < p_rep else 1
+            hops += [(u, v)] * reps
+            ts += [t + r * delta / 40 for r in range(reps)]
+            t += float(g.uniform(delta / 20, delta / d))
+    uv = np.asarray(hops, np.int64).reshape(-1, 2)
+    return uv[:, 0], uv[:, 1], np.asarray(ts, np.float64)
 
 
 def _ensure_unique(ts: np.ndarray, g: np.random.Generator) -> np.ndarray:
@@ -341,25 +323,18 @@ def generate(kind: str, *, sf: float = 1.0, seed: int = 0) -> pd.DataFrame:
     n_nodes = max(10, int(spec.n_nodes * sf)) if kind != "passenger" else max(
         12, min(spec.n_nodes, int(spec.n_nodes * max(sf, 0.2)))
     )
-    if kind == "bitcoin":
-        pairs, cycles = _bitcoin_pairs(n_nodes, n_pairs, g)
-        flow_fn = _bitcoin_flows
-        grid = None
-    elif kind == "facebook":
-        pairs, cycles = _facebook_pairs(n_nodes, n_pairs, g)
-        flow_fn = _facebook_flows
-        grid = 30.0
-    elif kind == "passenger":
-        pairs, cycles = _passenger_pairs(n_nodes, n_pairs, g)
-        flow_fn = _passenger_flows
-        grid = None
-    else:  # pragma: no cover - guarded by SPECS lookup above
-        raise ValueError(kind)
+    # Pair builder, flow sampler, time grid, walk and cycle cascade rates.
+    pair_fn, flow_fn, grid, walk_frac, cycle_frac = {
+        "bitcoin": (_bitcoin_pairs, _bitcoin_flows, None, 0.05, 0.20),
+        "facebook": (_facebook_pairs, _facebook_flows, 30.0, 0.10, 0.30),
+        "passenger": (_passenger_pairs, _passenger_flows, None, 0.26, 0.0),
+    }[kind]
+    pairs, cycles = pair_fn(n_nodes, n_pairs, g)
     # Background interactions: uniform in time over the connected pairs.
-    # Cascades supply the rest of the multi-edge budget (mult_mean is the
-    # combined target), so background multiplicity is a plain Poisson that
-    # may be 0 — a pair touched by no interaction at all simply does not
-    # appear in the realized multigraph.
+    # Cascades supply the rest of the multi-edge budget (Table 3's mean
+    # interactions per pair is the combined target), so background
+    # multiplicity is a plain Poisson that may be 0 — a pair touched by no
+    # interaction at all simply does not appear in the realized multigraph.
     mult = g.poisson(spec.bg_mult, len(pairs))
     bg_src = np.repeat(pairs.src.values, mult).astype(np.int64)
     bg_dst = np.repeat(pairs.dst.values, mult).astype(np.int64)
@@ -369,20 +344,15 @@ def generate(kind: str, *, sf: float = 1.0, seed: int = 0) -> pd.DataFrame:
     bg_src, bg_dst = bg_src[order], bg_dst[order]
     bg_f = flow_fn(n_bg, g)
 
-    # Flow cascades (see _cascades): flows drawn as the max of two base
-    # draws, making cascade flows coherently high — the signal that the
-    # Fig. 14 flow-permutation destroys, yielding positive z-scores.
-    walk_frac = {"bitcoin": 0.05, "facebook": 0.10, "passenger": 0.26}[kind]
-    cycle_frac = {"bitcoin": 0.20, "facebook": 0.30, "passenger": 0.0}[kind]
-    w_src, w_dst, w_t = _cascades(
-        pairs, int(len(pairs) * walk_frac), spec.delta_default, spec.span, g
+    # Flow cascades (see _emit): walks over the pairs, then the closed
+    # cycles. Flows are drawn as the max of two base draws, making cascade
+    # flows coherently high — the signal that the Fig. 14
+    # flow-permutation destroys, yielding positive z-scores.
+    cascades = chain(
+        _walks(pairs, int(len(pairs) * walk_frac), g),
+        _cycle_walks(cycles, int(len(cycles) * cycle_frac), g),
     )
-    y_src, y_dst, y_t = _cycle_cascades(
-        cycles, int(len(cycles) * cycle_frac), spec.delta_default, spec.span, g
-    )
-    c_src = np.concatenate([w_src, y_src])
-    c_dst = np.concatenate([w_dst, y_dst])
-    c_t = np.concatenate([w_t, y_t])
+    c_src, c_dst, c_t = _emit(cascades, spec.delta_default, spec.span, g)
     c_f = np.maximum(flow_fn(len(c_src), g), flow_fn(len(c_src), g))
 
     pdf = pd.DataFrame(

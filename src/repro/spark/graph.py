@@ -40,26 +40,22 @@ def check_interactions(pdf: pd.DataFrame) -> pd.DataFrame:
     Self-loops (``src == dst``) are accepted and never match: every motif
     edge joins two distinct motif nodes, and Definition 3.2's bijection
     maps those to distinct vertices."""
-    dup = pdf.duplicated(["src", "dst", "t"], keep=False)
-    if dup.any():
-        raise ValueError(
-            f"{int(dup.sum())} interactions share a (src, dst, t), e.g. "
-            f"{pdf[dup].iloc[0].to_dict()}; timestamps must be unique per pair"
-        )
-    bad = ~np.isfinite(pdf["t"].to_numpy(dtype=float, na_value=np.nan))
-    if bad.any():
-        raise ValueError(
-            f"{int(bad.sum())} interactions have a null, NaN or infinite "
-            f"timestamp, e.g. {pdf[bad].iloc[0].to_dict()}; timestamps must be finite"
-        )
-    f = pdf["f"].to_numpy(dtype=float, na_value=np.nan)
-    bad = ~(np.isfinite(f) & (f > 0))
-    if bad.any():
-        raise ValueError(
-            f"{int(bad.sum())} interactions have a null, NaN, infinite or "
-            f"non-positive flow, e.g. {pdf[bad].iloc[0].to_dict()}; "
-            "flows must be finite and > 0"
-        )
+    t, f = (pdf[c].to_numpy(dtype=float, na_value=np.nan) for c in ("t", "f"))
+    for bad, problem, rule in [
+        (pdf.duplicated(["src", "dst", "t"], keep=False).to_numpy(),
+         "share a (src, dst, t)", "timestamps must be unique per pair"),
+        (~np.isfinite(t), "have a null, NaN or infinite timestamp",
+         "timestamps must be finite"),
+        (~(np.isfinite(f) & (f > 0)),
+         "have a null, NaN, infinite or non-positive flow",
+         "flows must be finite and > 0"),
+    ]:
+        if bad.any():
+            # to_dict("records") keeps each column's dtype: integer ids stay ints
+            row = pdf[bad].to_dict("records")[0]
+            raise ValueError(
+                f"{int(bad.sum())} interactions {problem}, e.g. {row}; {rule}"
+            )
     return pdf
 
 

@@ -55,25 +55,6 @@ def matches_with_series(
     return structural_matches_df(timeseries_graph(edges), motif, delta=delta)
 
 
-_PD_DTYPES = {
-    "long": "int64",
-    "integer": "int32",
-    "double": "float64",
-}
-
-
-def _typed_frame(schema: StructType, rows: list[tuple]) -> pd.DataFrame:
-    """Rows -> pandas frame with the schema's dtypes, for a ``mapInPandas``
-    kernel to yield.
-
-    Empty batches must still carry the right dtypes or the Arrow conversion
-    back to Spark rejects the (object-typed) empty columns.
-    """
-    return pd.DataFrame(rows, columns=schema.fieldNames()).astype(
-        {f.name: _PD_DTYPES[f.dataType.typeName()] for f in schema.fields}
-    )
-
-
 def match_series(row, m: int) -> list[Series]:
     """A :func:`matches_with_series` row's per-edge :class:`Series`.
 
@@ -103,7 +84,7 @@ def p2(
                 (rd, match_series(rd, m))
                 for rd in (row._asdict() for row in pdf.itertuples(index=False))
             )
-            yield _typed_frame(schema, list(per_batch(matches)))
+            yield pd.DataFrame(per_batch(matches), columns=schema.fieldNames())
 
     return matches_with_series(edges, motif, delta).mapInPandas(kernel, schema=schema)
 

@@ -88,8 +88,8 @@ def permute_flows(edges: DataFrame, seed: int) -> DataFrame:
     The permutation is drawn on the driver from a seeded NumPy generator
     over the interactions sorted by ``(t, src, dst)``, so the result is
     deterministic regardless of Spark partitioning (F.rand() is not).
-    Raises ``ValueError`` when ``edges`` breaks the input contract (see
-    :func:`significance`).
+    Raises ``ValueError`` when ``edges`` breaks the input contract, e.g. by
+    a null, NaN or infinite timestamp (see :func:`significance`).
     """
     pdf = _sorted_interactions(edges)
     pdf["f"] = _permuted_flows(pdf["f"].to_numpy(), [seed])[:, 0]
@@ -124,8 +124,9 @@ def significance(
     Random graph r (0 <= r < ``n_random``; the paper uses 20) is
     ``permute_flows(edges, seed * 1000 + r)``, and all of them are counted
     in one plan with the real graph. Raises ``ValueError`` unless
-    ``n_random >= 1``, and when ``edges`` has a duplicate ``(src, dst, t)``
-    or a null, NaN, infinite or non-positive flow.
+    ``n_random >= 1``, and when ``edges`` has a duplicate ``(src, dst, t)``,
+    a null, NaN or infinite timestamp, or a null, NaN, infinite or
+    non-positive flow.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")

@@ -16,6 +16,8 @@ engine — and which also cross-checks the pure-Python DFS matcher.
 """
 from __future__ import annotations
 
+import math
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
@@ -24,7 +26,10 @@ from repro.core.motif import Motif
 
 
 def sql_double(x: float) -> str:
-    """``x`` as a Spark SQL literal of the exact same double."""
+    """``x`` as a Spark SQL literal of the exact same double. Raises
+    ``ValueError`` for NaN or an infinity, which have no such literal."""
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not finite and has no SQL double literal")
     return f"{float(x)!r}D"  # repr round-trips; D: double, not decimal
 
 

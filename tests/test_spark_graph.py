@@ -2,13 +2,20 @@
 import gc
 import itertools
 
+import pandas as pd
 import pytest
 
 from repro import experiments
 from repro.core.motif import MOTIFS
 from repro.oracle import assert_equivalent
 from repro.spark import search
-from repro.spark.graph import STATS_SQL, dataset_stats, distinct_pairs, timeseries_graph
+from repro.spark.graph import (
+    STATS_SQL,
+    check_interactions,
+    dataset_stats,
+    distinct_pairs,
+    timeseries_graph,
+)
 from repro.spark.significance import significance
 from tests.conftest import random_edges, to_spark_edges
 
@@ -141,6 +148,19 @@ class TestStoredTimeseriesGraph:
         del edges
         gc.collect()
         assert not stored & persistent_rdds()
+
+
+class TestCheckInteractions:
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, 2, 13.0, 1.0), (1, 2, float("nan"), 1.0), (1, 2, 20.0, -1.0)],
+        ids=["duplicate", "nan-timestamp", "negative-flow"],
+    )
+    def test_error_shows_integer_ids(self, bad):
+        pdf = pd.DataFrame(EDGES + [bad], columns=["src", "dst", "t", "f"])
+        with pytest.raises(ValueError) as err:
+            check_interactions(pdf)
+        assert "'src': 1," in str(err.value)
 
 
 class TestDatasetStats:

@@ -11,7 +11,7 @@ from repro.core.motif import MOTIF_ORDER, MOTIFS
 from repro.core.search import count_graph, max_flow_graph, topk_graph
 from repro.spark import search as sp
 from repro.spark.graph import check_interactions, distinct_pairs
-from repro.spark.join_baseline import find_instances_join
+from repro.spark.join_baseline import count_instances_join, find_instances_join
 from repro.spark.structural import structural_matches_df
 from tests.conftest import (
     instance_rows,
@@ -98,7 +98,7 @@ class TestFindInstances:
     def test_empty_result(self, spark):
         motif = MOTIFS["M(3,3)"]
         df = sp.find_instances(to_spark_edges(spark, FIG2_EDGES), motif, 10, 100.0)
-        assert df.count() == 0
+        assert df.collect() == []
 
     def test_phi_monotonicity(self, spark):
         motif = MOTIFS["M(3,2)"]
@@ -185,6 +185,13 @@ class TestTopK:
         with pytest.raises(ValueError, match="k must be >= 1"):
             sp.topk_flows(edges, MOTIFS["M(3,3)"], 10.0, k)
 
+    def test_no_instances_returns_empty(self, spark):
+        # delta=5 keeps Fig. 2's M(3,3) match in P1 (each consecutive edge
+        # pair fits), but its span 10..18 exceeds delta: no instance
+        motif = MOTIFS["M(3,3)"]
+        assert topk_graph(FIG2_EDGES, motif, 5.0, 3) == []
+        assert sp.topk_flows(to_spark_edges(spark, FIG2_EDGES), motif, 5.0, 3) == []
+
     def test_topk_sorted_desc(self, spark):
         motif = MOTIFS["M(3,2)"]
         edges = random_edges(2, n_nodes=6, n_edges=40, t_max=40)
@@ -213,6 +220,35 @@ class TestMaxFlowDP:
     def test_no_instances_returns_zero(self, spark):
         motif = MOTIFS["M(5,5)A"]
         assert sp.max_flow(to_spark_edges(spark, FIG2_EDGES), motif, 10.0) == 0.0
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteParameters:
+    """A non-finite delta or phi has no SQL literal: every Spark SQL site
+    rejects it on the driver, before Spark analyses a plan."""
+
+    @pytest.mark.parametrize("delta", NON_FINITE)
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda e, d: sp.count_instances(e, MOTIFS["M(3,3)"], d, 1.0),
+            lambda e, d: sp.find_instances(e, MOTIFS["M(3,3)"], d, 1.0),
+            lambda e, d: sp.topk_flows(e, MOTIFS["M(3,3)"], d, 3),
+            lambda e, d: sp.max_flow(e, MOTIFS["M(3,3)"], d),
+            lambda e, d: count_instances_join(e, MOTIFS["M(3,3)"], d, 1.0),
+        ],
+        ids=["count", "find", "topk", "maxflow", "join"],
+    )
+    def test_delta_rejected(self, spark, query, delta):
+        with pytest.raises(ValueError, match="not finite"):
+            query(to_spark_edges(spark, FIG2_EDGES), delta)
+
+    def test_join_phi_nan_rejected(self, spark):
+        edges = to_spark_edges(spark, FIG2_EDGES)
+        with pytest.raises(ValueError, match="nan is not finite"):
+            count_instances_join(edges, MOTIFS["M(3,3)"], 10.0, float("nan"))
 
 
 class TestPhase1Helper:

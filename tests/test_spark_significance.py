@@ -261,6 +261,11 @@ class TestInputContract:
         with pytest.raises(ValueError, match=r"share a \(src, dst, t\)"):
             self._significance(spark, self.BASE + [(0, 1, 1.0, 5.0)])
 
+    @pytest.mark.parametrize("t", [None, float("nan"), float("inf")])
+    def test_bad_timestamp_rejected(self, spark, t):
+        with pytest.raises(ValueError, match="null, NaN or infinite timestamp"):
+            self._significance(spark, self.BASE + [(2, 0, t, 5.0)])
+
     @pytest.mark.parametrize(
         "f", [None, float("nan"), float("inf"), float("-inf"), 0.0, -1.5]
     )
