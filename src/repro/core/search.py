@@ -8,6 +8,7 @@ they also drive the significance study's per-graph counting in tests.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Hashable, Iterable, Sequence
 
@@ -28,6 +29,14 @@ def build_series(edges: Iterable[Edge]) -> dict[tuple[Hashable, Hashable], Serie
     return {pair: Series(pts) for pair, pts in acc.items()}
 
 
+def _finite(x: float) -> float:
+    """``x`` as a float; raises ``ValueError`` if it is NaN or infinite.
+    Every search entry point checks its delta and phi with it up front."""
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not finite")
+    return float(x)
+
+
 def _match_series(
     series: dict[tuple[Hashable, Hashable], Series], motif: Motif, match: Match
 ) -> list[Series]:
@@ -37,7 +46,10 @@ def _match_series(
 def search_graph(
     edges: Sequence[Edge], motif: Motif, delta: float, phi: float
 ) -> list[tuple[Match, Instance]]:
-    """All maximal instances of ``motif`` in the graph, with their matches."""
+    """All maximal instances of ``motif`` in the graph, with their matches.
+    Raises ``ValueError`` if ``delta`` or ``phi`` is NaN or infinite."""
+    _finite(delta)
+    _finite(phi)
     series = build_series(edges)
     out: list[tuple[Match, Instance]] = []
     for match in structural_matches(series.keys(), motif):
@@ -53,6 +65,7 @@ def count_graph(edges: Sequence[Edge], motif: Motif, delta: float, phi: float) -
 
 def topk_graph(edges: Sequence[Edge], motif: Motif, delta: float, k: int) -> list[float]:
     """Flows of the global top-k instances (Fig. 11), best first."""
+    _finite(delta)
     series = build_series(edges)
     matches = structural_matches(series.keys(), motif)
     return topk_flows((_match_series(series, motif, m) for m in matches), delta, k)
@@ -60,6 +73,7 @@ def topk_graph(edges: Sequence[Edge], motif: Motif, delta: float, k: int) -> lis
 
 def max_flow_graph(edges: Sequence[Edge], motif: Motif, delta: float) -> float:
     """Top-1 instance flow via the DP module (Fig. 12), 0 if none exists."""
+    _finite(delta)
     series = build_series(edges)
     best = 0.0
     for match in structural_matches(series.keys(), motif):

@@ -3,11 +3,10 @@
 Per G_T edge, every time-interval of length <= delta becomes a quintuple
 ``(src, dst, ts, te, f)`` with the aggregated flow of the interactions it
 covers (any contiguous run of a pair's series, identified by its first/last
-timestamps). Sub-motif instances are then built up by joining quintuple
-tables along the spanning path — head-to-tail connectivity, strict time
-order between consecutive motif edges, running duration bound, and the
-Definition 3.2 vertex bijection — exactly the paper's merge-join cascade,
-expressed as one Catalyst join plan.
+timestamps). The paper's merge-join cascade joins quintuple tables along
+the spanning path: here it is P1's join chain over the quintuple table
+(:func:`repro.spark.structural.structural_matches_df`), whose step condition
+is strict time order and the running duration bound.
 
 The quintuples are one Catalyst projection over G_T built from SQL array
 functions (:func:`intervals`); no Python runs on the executors. For the
@@ -21,21 +20,20 @@ subtraction rounds monotonically, so ``ts[j] - a`` never decreases in j
 for bit.
 
 The paper's description stops at candidate construction; to produce the
-same *maximal* instance set as the two-phase algorithm we attach to each
-interval the timestamps of the pair's elements immediately before/after it
-(``prev_t``/``next_t``) and apply Definition 3.3 as a final filter
-predicate — still pure Catalyst. Tests assert the rows are identical to
+same *maximal* instance set as the two-phase algorithm each interval
+carries the timestamps of the pair's elements immediately before/after it
+(``prev_t``/``next_t``), and Definition 3.3 is a final filter predicate —
+still pure Catalyst. Tests assert the rows are identical to
 ``repro.spark.search.find_instances``'s; the benchmark (Fig. 8) shows the
 intermediate-result blow-up that makes this slower, as in the paper.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.motif import Motif
 from repro.spark.graph import timeseries_graph
-from repro.spark.structural import instance_schema, sql_double
+from repro.spark.structural import instance_schema, sql_double, structural_matches_df
 
 
 def intervals(edges: DataFrame, delta: float, phi: float) -> DataFrame:
@@ -83,51 +81,6 @@ def intervals_sql(delta: float, phi: float, table: str = "edges") -> str:
     """
 
 
-def _cascade(iv: DataFrame, motif: Motif, delta: float) -> list[DataFrame]:
-    """The merge-join cascade over intervals ``iv`` along the spanning path.
-
-    Returns the first motif edge's frame and then the frame after each join
-    step; the last one holds the m-edge candidates before the vertex
-    bijection filter.
-    """
-    path = motif.path
-    d = sql_double(delta)
-
-    # Columns and conditions are SQL text, one JVM round trip each (see
-    # repro.spark.structural).
-    def step(i: int, src: str, dst: str) -> DataFrame:
-        return iv.selectExpr(
-            f"src AS {src}",
-            f"dst AS {dst}",
-            f"ts AS ts{i}",
-            f"te AS te{i}",
-            f"f AS f{i}",
-            f"prev_t AS prev{i}",
-            f"next_t AS next{i}",
-        )
-
-    out = step(0, f"v{path[0]}", f"v{path[1]}")
-    frames = [out]
-    bound = {path[0], path[1]}
-    for i in range(1, motif.m):
-        a, b = path[i], path[i + 1]
-        revisit = b in bound
-        dst = f"_w{i}" if revisit else f"v{b}"
-        cond = [
-            f"_u{i} = v{a}",
-            f"ts{i} > te{i - 1}",  # strict time order
-            f"te{i} - ts0 <= {d}",  # running duration
-        ]
-        if revisit:
-            cond.append(f"{dst} = v{b}")
-        on = F.expr(" AND ".join(cond))
-        out = out.join(step(i, f"_u{i}", dst), on=on, how="inner")
-        out = out.drop(f"_u{i}", dst) if revisit else out.drop(f"_u{i}")
-        bound.add(b)
-        frames.append(out)
-    return frames
-
-
 def candidate_instances_join(
     edges: DataFrame, motif: Motif, delta: float, phi: float
 ) -> DataFrame:
@@ -138,10 +91,11 @@ def candidate_instances_join(
     that is structurally, temporally and flow-wise compatible); counting
     them quantifies the blow-up relative to the final maximal instances.
     """
-    out = _cascade(intervals(edges, delta, phi), motif, delta)[-1]
-    n = motif.n_nodes
-    return out.filter(
-        " AND ".join(f"v{i} <> v{j}" for i in range(n) for j in range(i + 1, n))
+    d = sql_double(delta)
+    return structural_matches_df(
+        intervals(edges, delta, phi),
+        motif,
+        link=lambda i: f"ts{i} > te{i - 1} AND te{i} - ts0 <= {d}",
     )
 
 
@@ -150,13 +104,19 @@ def join_intermediate_counts(
 ) -> list[int]:
     """Cardinality of the join cascade after each step (Fig. 8 mechanism).
 
-    ``[#intervals, #2-edge sub-instances, ..., #m-edge candidates]`` — the
-    sub-motif instances the paper identifies as the baseline's redundant
-    intermediate work ("many ... do not end up as components of any
-    instance of the complete motif"). Compare the peak against the final
-    maximal-instance count.
+    ``[#intervals, #2-edge sub-instances, ..., #m-edge candidates]``: step i
+    counts the candidates of the motif's first i + 1 edges, the sub-motif
+    instances the paper identifies as the baseline's redundant intermediate
+    work ("many ... do not end up as components of any instance of the
+    complete motif"). Compare the peak against the final maximal-instance
+    count.
     """
-    return [f.count() for f in _cascade(intervals(edges, delta, phi), motif, delta)]
+    return [
+        candidate_instances_join(
+            edges, Motif(motif.name, motif.path[: i + 2]), delta, phi
+        ).count()
+        for i in range(motif.m)
+    ]
 
 
 def find_instances_join(
@@ -175,11 +135,11 @@ def find_instances_join(
     d = sql_double(delta)
     extendable = []
     for i in range(m):
-        front = f"te{m - 1} - prev{i} <= {d}" if i == 0 else f"prev{i} > te{i - 1}"
-        back = f"next{i} - ts0 <= {d}" if i == m - 1 else f"next{i} < ts{i + 1}"
+        front = f"te{m - 1} - prev_t{i} <= {d}" if i == 0 else f"prev_t{i} > te{i - 1}"
+        back = f"next_t{i} - ts0 <= {d}" if i == m - 1 else f"next_t{i} < ts{i + 1}"
         extendable += [
-            f"(prev{i} IS NOT NULL AND {front})",
-            f"(next{i} IS NOT NULL AND {back})",
+            f"(prev_t{i} IS NOT NULL AND {front})",
+            f"(next_t{i} IS NOT NULL AND {back})",
         ]
     out = out.filter(f"NOT ({' OR '.join(extendable)})")
 

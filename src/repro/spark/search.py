@@ -33,8 +33,14 @@ from repro.core import topk
 from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
+from repro.core.search import _finite
 from repro.spark.graph import timeseries_graph
-from repro.spark.structural import instance_schema, node_columns, structural_matches_df
+from repro.spark.structural import (
+    instance_schema,
+    node_columns,
+    sql_double,
+    structural_matches_df,
+)
 
 #: One P2 input: a match row (column name -> value) and its per-edge series.
 _Match = tuple[dict, list[Series]]
@@ -50,9 +56,20 @@ def matches_with_series(
     Output columns: ``v0..v{n-1}``, then ``ts{i}``/``fs{i}`` for each motif
     edge i. Without ``delta`` there is one row per structural match; with it,
     matches that cannot hold an instance of duration <= delta are pruned in
-    the join chain.
+    the join chain: the join that adds motif edge i also requires some
+    element x of ``ts{i}`` and y of ``ts{i-1}`` with ``x > y`` and
+    ``x - y <= delta``. Every instance's last element of edge-set i-1 and
+    first of edge-set i form such a pair (DESIGN.md § 2.1), so this drops
+    only matches, and partial matches, that hold no instance.
     """
-    return structural_matches_df(timeseries_graph(edges), motif, delta=delta)
+    if delta is None:
+        return structural_matches_df(timeseries_graph(edges), motif)
+    d = sql_double(delta)
+    return structural_matches_df(
+        timeseries_graph(edges),
+        motif,
+        link=lambda i: f"exists(ts{i}, x -> exists(ts{i - 1}, y -> x > y AND x - y <= {d}))",
+    )
 
 
 def match_series(row, m: int) -> list[Series]:
@@ -94,7 +111,9 @@ def find_instances(
 ) -> DataFrame:
     """All maximal instances of ``motif``: one row per instance, in the
     join baseline's schema (:func:`repro.spark.structural.instance_schema`).
+    Raises ``ValueError`` if ``delta`` or ``phi`` is NaN or infinite.
     """
+    _finite(phi)
     vcols = node_columns(motif)
 
     def per_batch(matches: Iterator[_Match]) -> Iterator[tuple]:
@@ -114,7 +133,9 @@ def find_instances(
 def count_instances(
     edges: DataFrame, motif: Motif, delta: float, phi: float
 ) -> int:
-    """Number of maximal instances in the graph (Figs. 9/10/13/14)."""
+    """Number of maximal instances in the graph (Figs. 9/10/13/14).
+    Raises ``ValueError`` if ``delta`` or ``phi`` is NaN or infinite."""
+    _finite(phi)
 
     def per_batch(matches: Iterator[_Match]) -> list[tuple]:
         return [(sum(len(enumerate_instances(s, delta, phi)) for _, s in matches),)]

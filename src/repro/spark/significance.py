@@ -36,6 +36,7 @@ from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
+from repro.core.search import _finite
 from repro.spark.graph import check_interactions
 from repro.spark.search import p2
 
@@ -124,12 +125,13 @@ def significance(
     Random graph r (0 <= r < ``n_random``; the paper uses 20) is
     ``permute_flows(edges, seed * 1000 + r)``, and all of them are counted
     in one plan with the real graph. Raises ``ValueError`` unless
-    ``n_random >= 1``, and when ``edges`` has a duplicate ``(src, dst, t)``,
-    a null, NaN or infinite timestamp, or a null, NaN, infinite or
-    non-positive flow.
+    ``n_random >= 1``, when ``delta`` or ``phi`` is NaN or infinite, and
+    when ``edges`` has a duplicate ``(src, dst, t)``, a null, NaN or
+    infinite timestamp, or a null, NaN, infinite or non-positive flow.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
+    _finite(phi)
     pdf = _sorted_interactions(edges)
     seeds = [seed * 1000 + r for r in range(n_random)]
     fr, rows = _flows_by_pair(pdf, _permuted_flows(pdf["f"].to_numpy(), seeds))

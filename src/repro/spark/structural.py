@@ -6,9 +6,10 @@ equality where the path revisits a bound node and the inequalities that
 enforce the bijection of Definition 3.2 (distinct motif nodes map to
 distinct graph vertices). Over the distinct-pair table this is Table 4's P1;
 over the time-series graph the same chain carries every motif edge's series
-for P2 and can prune matches that cannot fit in delta. Broadcast joins are
-disabled session-wide (conftest), so this exercises Spark's shuffle-join
-path.
+for P2 and can prune matches that cannot fit in delta; over the interval
+table it is the join baseline's cascade (``repro.spark.join_baseline``).
+Broadcast joins are disabled session-wide (conftest), so this exercises
+Spark's shuffle-join path.
 
 ``matches_sql`` emits the equivalent SQL text, which tests run on DuckDB via
 ``repro.oracle.assert_equivalent`` — the same plan checked by an independent
@@ -16,21 +17,20 @@ engine — and which also cross-checks the pure-Python DFS matcher.
 """
 from __future__ import annotations
 
-import math
+from typing import Callable
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.motif import Motif
+from repro.core.search import _finite
 
 
 def sql_double(x: float) -> str:
     """``x`` as a Spark SQL literal of the exact same double. Raises
     ``ValueError`` for NaN or an infinity, which have no such literal."""
-    if not math.isfinite(x):
-        raise ValueError(f"{x!r} is not finite and has no SQL double literal")
-    return f"{float(x)!r}D"  # repr round-trips; D: double, not decimal
+    return f"{_finite(x)!r}D"  # repr round-trips; D: double, not decimal
 
 
 def node_columns(motif: Motif) -> list[str]:
@@ -55,7 +55,7 @@ def instance_schema(motif: Motif) -> StructType:
 
 
 def structural_matches_df(
-    table: DataFrame, motif: Motif, *, delta: float | None = None
+    table: DataFrame, motif: Motif, *, link: Callable[[int], str] | None = None
 ) -> DataFrame:
     """All structural matches of ``motif`` over a G_T edge table.
 
@@ -65,12 +65,8 @@ def structural_matches_df(
     each motif node (canonical numbering) — then every other column ``c``
     of ``table`` once per motif edge i, as ``c{i}``.
 
-    With ``delta``, the table must carry the sorted series ``ts``, and each
-    join along the path also requires some element x of ``ts{i}`` and y of
-    ``ts{i-1}`` with ``x > y`` and ``x - y <= delta``. Every instance's last
-    element of edge-set i-1 and first of edge-set i form such a pair
-    (DESIGN.md § 2.1), so this drops only matches, and partial matches,
-    that hold no instance.
+    With ``link``, the join that adds motif edge i (i >= 1) also requires
+    the SQL condition ``link(i)`` over the columns ``c{k}`` of edges k <= i.
     """
     path = motif.path
     extra = [c for c in table.columns if c not in ("src", "dst")]
@@ -94,11 +90,8 @@ def structural_matches_df(
         else:  # Definition 3.2's bijection
             cond += [f"_d{i} <> {c}" for c in bound.values()]
             bound[b] = f"_d{i}"
-        if delta is not None:
-            d = sql_double(delta)
-            cond.append(
-                f"exists(ts{i}, x -> exists(ts{i - 1}, y -> x > y AND x - y <= {d}))"
-            )
+        if link is not None:
+            cond.append(link(i))
         out = out.join(step(i), on=F.expr(" AND ".join(cond)), how="inner")
     return out.selectExpr(
         *[f"{bound[k]} AS {v}" for k, v in enumerate(node_columns(motif))],

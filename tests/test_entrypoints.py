@@ -89,3 +89,20 @@ def test_python_kernels_only_in_p2_driver():
             if names & EXECUTOR_PYTHON:
                 callers.add(path.relative_to(SRC).as_posix())
     assert callers == {"spark/search.py"}
+
+
+def test_dataframe_joins_only_in_p1_chain():
+    """DataFrame joins (``.join`` with an ``on=`` or ``how=`` keyword;
+    ``str.join`` takes none) run only in P1's join chain,
+    ``repro.spark.structural.structural_matches_df``: the join baseline's
+    cascade is that chain over the interval table."""
+    callers = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "join"
+        and {k.arg for k in node.keywords} & {"on", "how"}
+    }
+    assert callers == {"spark/structural.py"}

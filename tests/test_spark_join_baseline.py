@@ -1,7 +1,11 @@
 """Join-baseline competitor: interval oracle + exact equality with two-phase."""
+from collections import defaultdict
+from itertools import product
+
 import pytest
 
-from repro.core.motif import MOTIF_ORDER, MOTIFS
+from repro.core.motif import MOTIF_ORDER, MOTIFS, Motif
+from repro.core.structural import match_edge_pairs, structural_matches
 from repro.networks.generators import SPECS
 from repro.oracle import assert_equivalent
 from repro.spark import search as sp
@@ -17,13 +21,8 @@ from tests.conftest import instance_rows, random_edges, to_spark_edges
 
 FIG2_EDGES = [(3, 1, 10.0, 10.0), (1, 2, 13.0, 5.0), (1, 2, 15.0, 7.0), (2, 3, 18.0, 20.0)]
 
-#: ``join_intermediate_counts`` on two fixed graphs, recorded when the counts
-#: had their own copy of the join cascade:
-#: (random_edges seed, n_edges, delta, phi) -> motif -> counts.
-CASCADE_PINS = {
-    (6, 35, 12.0, 0.0): {"M(3,2)": [45, 48], "M(3,3)": [45, 48, 5], "M(4,3)": [45, 48, 34]},
-    (7, 30, 10.0, 2.0): {"M(3,2)": [31, 26], "M(3,3)": [31, 26, 1], "M(4,3)": [31, 26, 17]},
-}
+#: Two fixed graphs for the cascade counts: (random_edges seed, n_edges, delta, phi).
+CASCADE_GRAPHS = [(6, 35, 12.0, 0.0), (7, 30, 10.0, 2.0)]
 
 
 class TestIntervals:
@@ -93,6 +92,31 @@ def reference_intervals(ts, fs, delta, phi):
                 next_t = ts[j + 1] if j + 1 < n else None
                 out.append((ts[i], ts[j], acc, prev_t, next_t))
     return out
+
+
+def reference_cascade_counts(edges, motif, delta, phi):
+    """Reference for :func:`join_intermediate_counts`: per prefix of the
+    motif's spanning path, the structural matches times one interval per
+    matched pair, kept when ``ts_k > te_{k-1}`` and ``te_last - ts_0 <= delta``."""
+    by_pair = defaultdict(list)
+    for u, v, t, f in sorted(edges, key=lambda e: e[2]):
+        by_pair[(u, v)].append((t, f))
+    iv = {
+        pair: reference_intervals([t for t, _ in s], [f for _, f in s], delta, phi)
+        for pair, s in by_pair.items()
+    }
+    counts = []
+    for i in range(motif.m):
+        prefix = Motif(motif.name, motif.path[: i + 2])
+        counts.append(
+            sum(
+                all(b[0] > a[1] for a, b in zip(ivs, ivs[1:]))
+                and ivs[-1][1] - ivs[0][0] <= delta
+                for match in structural_matches(iv, prefix)
+                for ivs in product(*(iv[p] for p in match_edge_pairs(prefix, match)))
+            )
+        )
+    return counts
 
 
 class TestExactIntervals:
@@ -226,12 +250,12 @@ class TestIntermediateInstrumentation:
         assert counts[0] == intervals(edges, 10.0, 2.0).count()
 
     @pytest.mark.parametrize("name", ["M(3,2)", "M(3,3)", "M(4,3)"])
-    @pytest.mark.parametrize("graph", sorted(CASCADE_PINS))
-    def test_cascade_counts_pinned(self, spark, graph, name):
+    @pytest.mark.parametrize("graph", CASCADE_GRAPHS)
+    def test_cascade_counts_oracle(self, spark, graph, name):
         seed, n_edges, delta, phi = graph
         motif = MOTIFS[name]
-        edges = to_spark_edges(spark, random_edges(seed, n_nodes=6, n_edges=n_edges))
+        py_edges = random_edges(seed, n_nodes=6, n_edges=n_edges)
+        edges = to_spark_edges(spark, py_edges)
         counts = join_intermediate_counts(edges, motif, delta, phi)
-        assert counts == CASCADE_PINS[graph][name]
-        # the bijection filter only removes rows from the last step
-        assert candidate_instances_join(edges, motif, delta, phi).count() <= counts[-1]
+        assert counts == reference_cascade_counts(py_edges, motif, delta, phi)
+        assert candidate_instances_join(edges, motif, delta, phi).count() == counts[-1]

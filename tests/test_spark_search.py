@@ -8,10 +8,11 @@ from repro.core import bruteforce
 from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import MOTIF_ORDER, MOTIFS
-from repro.core.search import count_graph, max_flow_graph, topk_graph
+from repro.core.search import count_graph, max_flow_graph, search_graph, topk_graph
 from repro.spark import search as sp
 from repro.spark.graph import check_interactions, distinct_pairs
 from repro.spark.join_baseline import count_instances_join, find_instances_join
+from repro.spark.significance import significance
 from repro.spark.structural import structural_matches_df
 from tests.conftest import (
     instance_rows,
@@ -226,8 +227,8 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestNonFiniteParameters:
-    """A non-finite delta or phi has no SQL literal: every Spark SQL site
-    rejects it on the driver, before Spark analyses a plan."""
+    """A non-finite delta or phi is rejected on the driver, before Spark
+    analyses a plan, and by the pure-Python entry points."""
 
     @pytest.mark.parametrize("delta", NON_FINITE)
     @pytest.mark.parametrize(
@@ -245,10 +246,37 @@ class TestNonFiniteParameters:
         with pytest.raises(ValueError, match="not finite"):
             query(to_spark_edges(spark, FIG2_EDGES), delta)
 
-    def test_join_phi_nan_rejected(self, spark):
-        edges = to_spark_edges(spark, FIG2_EDGES)
-        with pytest.raises(ValueError, match="nan is not finite"):
-            count_instances_join(edges, MOTIFS["M(3,3)"], 10.0, float("nan"))
+    @pytest.mark.parametrize("phi", NON_FINITE)
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda e, p: sp.count_instances(e, MOTIFS["M(3,3)"], 10.0, p),
+            lambda e, p: sp.find_instances(e, MOTIFS["M(3,3)"], 10.0, p),
+            lambda e, p: significance(e, MOTIFS["M(3,3)"], 10.0, p, n_random=2),
+            lambda e, p: count_instances_join(e, MOTIFS["M(3,3)"], 10.0, p),
+        ],
+        ids=["count", "find", "signif", "join"],
+    )
+    def test_phi_rejected(self, spark, query, phi):
+        with pytest.raises(ValueError, match=f"{phi!r} is not finite"):
+            query(to_spark_edges(spark, FIG2_EDGES), phi)
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda x: search_graph(FIG2_EDGES, MOTIFS["M(3,3)"], x, 1.0),
+            lambda x: search_graph(FIG2_EDGES, MOTIFS["M(3,3)"], 10.0, x),
+            lambda x: count_graph(FIG2_EDGES, MOTIFS["M(3,3)"], x, 1.0),
+            lambda x: count_graph(FIG2_EDGES, MOTIFS["M(3,3)"], 10.0, x),
+            lambda x: topk_graph(FIG2_EDGES, MOTIFS["M(3,3)"], x, 3),
+            lambda x: max_flow_graph(FIG2_EDGES, MOTIFS["M(3,3)"], x),
+        ],
+        ids=["search-delta", "search-phi", "count-delta", "count-phi", "topk", "maxflow"],
+    )
+    def test_core_rejected(self, query, x):
+        with pytest.raises(ValueError, match=f"{x!r} is not finite"):
+            query(x)
 
 
 class TestPhase1Helper:
