@@ -18,6 +18,7 @@ from pyspark.sql import SparkSession
 from repro import experiments as ex
 
 NAMES = (
+    "table2",
     "table3",
     "table4",
     "fig8",

@@ -23,10 +23,9 @@ from .instances import Series, window_end
 
 
 def _window_timestamps(series: Sequence[Series], lo: float, hi: float) -> list[float]:
-    ts = sorted(
+    return sorted(
         {t for r in series for t in r.ts[bisect_left(r.ts, lo) : bisect_right(r.ts, hi)]}
     )
-    return ts
 
 
 def _flow_in(r: Series, lo: float, hi: float) -> float:
@@ -71,12 +70,6 @@ def dp_window_table(
     return ts, table
 
 
-def max_flow_window(series: Sequence[Series], lo: float, hi: float) -> float:
-    """Flow of the best instance within one window (Flow([t1, t_tau], m))."""
-    ts, table = dp_window_table(series, lo, hi)
-    return table[-1][-1] if ts else 0.0
-
-
 def max_flow(series: Sequence[Series], delta: float) -> float:
     """Top-1 instance flow within one structural match (0 if none exists).
 
@@ -87,5 +80,7 @@ def max_flow(series: Sequence[Series], delta: float) -> float:
     """
     best = 0.0
     for a in series[0].ts:
-        best = max(best, max_flow_window(series, a, window_end(a, delta)))
+        _, table = dp_window_table(series, a, window_end(a, delta))
+        # Flow([t1, t_tau], m); a negative delta leaves the window empty
+        best = max([best, *table[-1][-1:]])
     return best

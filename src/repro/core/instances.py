@@ -27,8 +27,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-NEG_INF = float("-inf")
-
 
 class Series:
     """One edge's interaction time series ``R(u, v)``, sorted by time.
@@ -153,17 +151,16 @@ def _find_instances(
     start_idx: int,
     hi: float,
     phi_fn: Callable[[], float],
-    out: list[tuple[Ranges, tuple[float, ...]]],
     prefix: Ranges,
     flows: tuple[float, ...],
-) -> None:
+) -> Iterator[tuple[Ranges, tuple[float, ...]]]:
     """Procedure FindInstances of Algorithm 1 (recursive over the path).
 
     ``start_idx`` is the first eligible element of ``series[edge_i]`` (the
     one right after the previous edge-set's last timestamp), ``hi`` the
     inclusive window end. ``phi_fn`` is re-read at every prune point so the
-    top-k variant can tighten it while enumeration is in flight. Appends
-    each candidate to ``out`` as its ``(ranges, flows)``.
+    top-k variant can tighten it while enumeration is in flight. Yields
+    each candidate as its ``(ranges, flows)``.
     """
     r = series[edge_i]
     last = bisect_right(r.ts, hi) - 1  # last element at or before hi
@@ -174,19 +171,18 @@ def _find_instances(
         # (anything less would not be maximal).
         f = r.range_sum(start_idx, last)
         if f >= phi_fn():
-            out.append((prefix + ((start_idx, last),), flows + (f,)))
+            yield prefix + ((start_idx, last),), flows + (f,)
         return
     acc = 0.0  # range_sum(start_idx, e), one addition per step
     for e in range(start_idx, last + 1):
         acc += r.fs[e]
         if acc >= phi_fn():  # phi prefix-pruning (line 16)
-            _find_instances(
+            yield from _find_instances(
                 series,
                 edge_i + 1,
                 bisect_right(series[edge_i + 1].ts, r.ts[e]),
                 hi,
                 phi_fn,
-                out,
                 prefix + ((start_idx, e),),
                 flows + (acc,),
             )
@@ -200,19 +196,16 @@ def _maximal_ranges(
 
     Windows of length ``delta`` are anchored at every interaction of the
     first motif edge (a maximal instance's temporally first element belongs
-    to ``R(e_1)``); candidates from FindInstances are then filtered through
-    the Definition 3.3 maximality check. ``phi_fn`` is Algorithm 1's phi or
-    the top-k heap's floating threshold.
+    to ``R(e_1)``); the stream of FindInstances candidates is filtered
+    through the Definition 3.3 maximality check. No window repeats
+    another's candidate: window k's all start at k. ``phi_fn`` is Algorithm
+    1's phi or the top-k heap's floating threshold, which may rise between
+    two candidates of one window.
     """
-    if any(len(r) == 0 for r in series):
-        return
-    first = series[0]
-    for k in range(len(first)):
-        # No window repeats another's candidate: window k's all start at k.
-        candidates: list[tuple[Ranges, tuple[float, ...]]] = []
-        hi = window_end(first.ts[k], delta)
-        _find_instances(series, 0, k, hi, phi_fn, candidates, (), ())
-        for ranges, flows in candidates:
+    for k, a in enumerate(series[0].ts):
+        for ranges, flows in _find_instances(
+            series, 0, k, window_end(a, delta), phi_fn, (), ()
+        ):
             if is_maximal(series, ranges, delta):
                 yield ranges, flows
 

@@ -15,7 +15,7 @@ same graph vertex, distinct ints to distinct vertices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Phase P1 is unchanged; in phase P2 the static phi of Algorithm 1 is replaced
 by the flow of the k-th best instance found so far, read from a size-k
-min-heap at every prune point. The threshold only grows, so any pruned
-candidate's flow is strictly below the final k-th flow — no top-k instance
-is lost. Maximality is checked against the raw series (it is independent of
+min-heap at every prune point. Each maximal instance enters the heap as
+soon as Algorithm 1 yields it, so the threshold can rise between two
+candidates of one window. It only grows, so any pruned candidate's flow is
+strictly below the final k-th flow — no top-k instance is lost. Maximality is checked against the raw series (it is independent of
 phi), so pruning cannot promote a non-maximal candidate.
 """
 from __future__ import annotations
@@ -50,7 +51,8 @@ def topk_scan_match(
     """Feed one structural match's maximal instances into a shared heap.
 
     Runs Algorithm 1's window/prefix enumeration with the heap's floating
-    threshold in place of phi, checking maximality before offering.
+    threshold in place of phi and offers each maximal instance as it is
+    found, so later prefixes, in the same window too, prune against it.
     """
     for _, flows in _maximal_ranges(series, delta, heap.threshold):
         heap.offer(min(flows))

@@ -21,7 +21,9 @@ from typing import Callable, Iterator, Sequence
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.dp import dp_window_table
 from repro.core.dp import max_flow as dp_max_flow
+from repro.core.instances import Series
 from repro.core.motif import MOTIF_ORDER, MOTIFS, Motif
 from repro.core.topk import topk_flows
 from repro.networks.generators import DATASETS, SPECS, generate, time_prefix
@@ -112,6 +114,42 @@ def _timed(fn: Callable, *args) -> tuple:
     t0 = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t0
+
+
+# --- Table 2 ---------------------------------------------------------------
+#: Figure 7's structural match: the series of its three motif edges.
+FIG7 = (
+    Series([(10, 5), (13, 2), (15, 3)]),
+    Series([(9, 4), (11, 3), (16, 3)]),
+    Series([(14, 4), (19, 6)]),
+)
+
+#: Paper Table 2 — Flow([t1, t], kappa) over the window [10, 20], per kappa
+#: and t as printed; blank cells are absent.
+PAPER_TABLE2 = {
+    1: {10: 5, 11: 5, 13: 7, 14: 7, 15: 7, 16: 7, 18: 10, 19: 10},
+    2: {11: 3, 13: 3, 14: 3, 15: 3, 16: 5, 18: 5, 19: 5},
+    3: {13: 0, 14: 4, 15: 4, 16: 4, 18: 4, 19: 5},
+}
+
+
+def table2(spark: SparkSession, *, sf: float = DEFAULT_SF, seed: int = 0) -> pd.DataFrame:
+    """The DP module's trace: Equation 2 on Figure 7's match over the window
+    [10, 20], one row per (kappa, t), ours vs the paper's (``paper_flow`` is
+    NaN where the paper's cell is blank). The last row is the window's top-1
+    flow. DESIGN.md § 3 explains the cells that differ.
+
+    A single-match computation on the driver: ``spark``, ``sf`` and ``seed``
+    are unused, so the runner calls it like every other harness.
+    """
+    ts, table = dp_window_table(FIG7, 10, 20)
+    return pd.DataFrame(
+        [
+            dict(kappa=kappa, t=t, flow=flow, paper_flow=PAPER_TABLE2[kappa].get(t))
+            for kappa, row in enumerate(table, start=1)
+            for t, flow in zip(ts, row)
+        ]
+    )
 
 
 # --- Table 3 ---------------------------------------------------------------
@@ -239,7 +277,7 @@ def fig12_kernel(
     rows = []
     for kind, edges, delta, _, motif in _cells(spark, sf, seed, motifs):
         all_series = [
-            sp.match_series(r, motif.m)
+            sp.parse_match(r, motif)[1]
             for r in sp.matches_with_series(edges, motif).collect()
         ]
         top, t_heap = _timed(topk_flows, all_series, delta, 1)

@@ -144,7 +144,8 @@ def find_instances_join(
     out = out.filter(f"NOT ({' OR '.join(extendable)})")
 
     derived = {
-        "flow": f"least({', '.join(f'f{i}' for i in range(m))}) AS flow",
+        # least() needs two or more arguments; a single-edge motif has one
+        "flow": f"array_min(array({', '.join(f'f{i}' for i in range(m))})) AS flow",
         "t_start": "ts0 AS t_start",
         "t_end": f"te{m - 1} AS t_end",
     }

@@ -23,7 +23,7 @@ plain Catalyst plan.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -35,15 +35,11 @@ from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
 from repro.core.search import _finite
 from repro.spark.graph import timeseries_graph
-from repro.spark.structural import (
-    instance_schema,
-    node_columns,
-    sql_double,
-    structural_matches_df,
-)
+from repro.spark.structural import instance_schema, sql_double, structural_matches_df
 
-#: One P2 input: a match row (column name -> value) and its per-edge series.
-_Match = tuple[dict, list[Series]]
+#: One P2 input: a match's vertex binding ``v0..v{n-1}`` and its per-edge
+#: series.
+_Match = tuple[tuple, list[Series]]
 
 _FLOW_SCHEMA = StructType([StructField("flow", DoubleType())])
 
@@ -72,13 +68,15 @@ def matches_with_series(
     )
 
 
-def match_series(row, m: int) -> list[Series]:
-    """A :func:`matches_with_series` row's per-edge :class:`Series`.
+def parse_match(row: Sequence, motif: Motif) -> _Match:
+    """A :func:`matches_with_series` row as ``(binding, series)``: the
+    vertices ``v0..v{n-1}`` and each motif edge's :class:`Series`.
 
-    ``row`` is anything indexable by column name (a Spark ``Row`` or a
-    dict); ``m`` is the motif's edge count.
+    ``row`` is any sequence in that column order (a Spark ``Row`` or a
+    plain tuple).
     """
-    return [Series(zip(row[f"ts{i}"], row[f"fs{i}"])) for i in range(m)]
+    n = motif.n_nodes
+    return tuple(row[:n]), [Series(zip(t, f)) for t, f in zip(row[n::2], row[n + 1 :: 2])]
 
 
 def p2(
@@ -91,15 +89,13 @@ def p2(
     """The P2 driver: ``per_batch`` maps one Arrow batch's matches to rows.
 
     The input is :func:`matches_with_series` pruned by ``delta``; each match
-    reaches ``per_batch`` as its row and its per-edge :class:`Series` list.
+    reaches ``per_batch`` once parsed by :func:`parse_match`.
     """
-    m = motif.m
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             matches = (
-                (rd, match_series(rd, m))
-                for rd in (row._asdict() for row in pdf.itertuples(index=False))
+                parse_match(row, motif) for row in pdf.itertuples(index=False, name=None)
             )
             yield pd.DataFrame(per_batch(matches), columns=schema.fieldNames())
 
@@ -114,11 +110,9 @@ def find_instances(
     Raises ``ValueError`` if ``delta`` or ``phi`` is NaN or infinite.
     """
     _finite(phi)
-    vcols = node_columns(motif)
 
     def per_batch(matches: Iterator[_Match]) -> Iterator[tuple]:
-        for rd, series in matches:
-            binding = tuple(rd[c] for c in vcols)
+        for binding, series in matches:
             for inst in enumerate_instances(series, delta, phi):
                 edge_sets = tuple(
                     x

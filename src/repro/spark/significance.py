@@ -38,7 +38,7 @@ from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
 from repro.core.search import _finite
 from repro.spark.graph import check_interactions
-from repro.spark.search import p2
+from repro.spark.search import _Match, p2
 
 #: Deterministic row order used to index interactions before permuting.
 _ORDER = ["t", "src", "dst"]
@@ -135,17 +135,14 @@ def significance(
     pdf = _sorted_interactions(edges)
     seeds = [seed * 1000 + r for r in range(n_random)]
     fr, rows = _flows_by_pair(pdf, _permuted_flows(pdf["f"].to_numpy(), seeds))
-    m = motif.m
-    ends = [(f"v{a}", f"v{b}") for a, b in motif.edges]
 
-    def per_batch(matches: Iterator[tuple[dict, list[Series]]]) -> list[tuple]:
+    def per_batch(matches: Iterator[_Match]) -> list[tuple]:
         counts = [0] * (n_random + 1)
-        for rd, series in matches:
+        for binding, series in matches:
             counts[0] += len(enumerate_instances(series, delta, phi))
-            ts = [rd[f"ts{i}"] for i in range(m)]
-            frs = [fr[slice(*rows[rd[a], rd[b]])] for a, b in ends]
+            frs = [fr[slice(*rows[binding[a], binding[b]])] for a, b in motif.edges]
             for r in range(n_random):
-                permuted = [Series(zip(t, f[:, r])) for t, f in zip(ts, frs)]
+                permuted = [Series(zip(s.ts, f[:, r])) for s, f in zip(series, frs)]
                 counts[r + 1] += len(enumerate_instances(permuted, delta, phi))
         return list(enumerate(counts))
 

@@ -3,13 +3,13 @@
 DESIGN.md § 3 documents the paper-internal inconsistency between Figure 7's
 prose series and some of Table 2's intermediate cells; tests below assert
 the cells that are consistent with Equation 2 and pin our values for the
-rest (jobs/table2_dp_trace.py prints the side-by-side trace).
+rest (``jobs/run_experiments.py table2`` prints the side-by-side trace).
 """
 import random
 
 import pytest
 
-from repro.core.dp import dp_window_table, max_flow, max_flow_window
+from repro.core.dp import dp_window_table, max_flow
 from repro.core.instances import Series, enumerate_instances
 from tests.test_bruteforce_crosscheck import random_series
 
@@ -54,7 +54,8 @@ class TestTable2:
         assert row[19] == 5
 
     def test_final_value_is_paper_best_instance_flow(self):
-        assert max_flow_window(FIG7, 10, 20) == 5
+        _, table = dp_window_table(FIG7, 10, 20)
+        assert table[-1][-1] == 5
 
 
 class TestDPInvariants:

@@ -106,3 +106,72 @@ def test_dataframe_joins_only_in_p1_chain():
         and {k.arg for k in node.keywords} & {"on", "how"}
     }
     assert callers == {"spark/structural.py"}
+
+
+#: The project directories whose code may use a name of ``src/repro``.
+USERS = ("src", "tests", "perfbench", "jobs")
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The module-level names a def, class, assignment or import binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [(a.asname or a.name).split(".")[0] for a in node.names]
+    return []
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names that code reads: loaded names, attributes, imported names and
+    identifier strings (``jobs/run_experiments.py`` names its harnesses)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
+def test_no_unused_module_names():
+    """Every module-level def, class and assignment in ``src/repro`` is used
+    somewhere in the project, and every import there is used in its own
+    module."""
+    trees = {
+        path: ast.parse(path.read_text())
+        for d in USERS
+        for path in (ROOT / d).rglob("*.py")
+    }
+    used_anywhere = set().union(*map(_used_names, trees.values()))
+    unused = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        loaded = {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                names, used = _bound_names(node), loaded
+            elif node in tree.body:
+                names, used = _bound_names(node), used_anywhere
+            else:
+                continue
+            unused += [
+                f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                for name in names
+                if name not in used and not name.startswith("__")
+            ]
+    assert not unused

@@ -181,16 +181,12 @@ class TestFig14:
         assert (df.real >= df.random_mean).all()
 
 
-def test_table2_job_runs():
-    """jobs/table2_dp_trace.py asserts its own bottom line (flow 5)."""
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "jobs" / "table2_dp_trace.py"
-    spec = importlib.util.spec_from_file_location("table2_dp_trace", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    mod.main()
+class TestTable2:
+    def test_last_row_is_best_window_flow(self, spark):
+        """The DP trace ends at the window's top-1 flow, 5, as in the paper."""
+        df = ex.table2(spark, sf=SF)
+        assert list(df.columns) == ["kappa", "t", "flow", "paper_flow"]
+        assert tuple(df.iloc[-1]) == (3, 19, 5, 5)
 
 
 class TestFig8Intermediates:

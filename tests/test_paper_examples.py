@@ -7,7 +7,7 @@ between Figure 7's prose series and Table 2's intermediate cells.
 """
 import pytest
 
-from repro.core.dp import max_flow, max_flow_window
+from repro.core.dp import dp_window_table, max_flow
 from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import MOTIFS
 from repro.core.search import count_graph, search_graph, topk_graph
@@ -78,7 +78,7 @@ class TestFigure7:
 
     def test_table2_final_dp_value(self):
         # Table 2's bottom-right cell: best instance flow in [10,20] is 5.
-        assert max_flow_window(FIG7, 10, 20) == 5
+        assert dp_window_table(FIG7, 10, 20)[1][-1][-1] == 5
 
     def test_dp_over_all_windows_matches_enumeration(self):
         best_enum = max(i.flow for i in enumerate_instances(FIG7, DELTA7, 0))

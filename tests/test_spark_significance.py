@@ -206,7 +206,8 @@ class TestSinglePassExact:
 
     def test_same_without_arrow_conversion(self, spark, case):
         """A session without Arrow-based pandas conversion (the jobs' default)
-        builds the permuted-flow frame row by row; the counts are the same."""
+        collects the interactions to the driver through another ``toPandas``
+        path; the counts are the same."""
         edges, delta, phi = case
         key = "spark.sql.execution.arrow.pyspark.enabled"
         args = (edges, MOTIFS["M(3,2)"], delta, phi)
