@@ -46,6 +46,8 @@ def main() -> None:
     unknown = sorted(set(args.names) - set(NAMES))
     if unknown:
         ap.error(f"unknown experiment(s): {', '.join(unknown)}")
+    if args.n_random < 1:
+        ap.error(f"--n-random must be >= 1, got {args.n_random}")
 
     spark = SparkSession.builder.appName("run_experiments").getOrCreate()
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:

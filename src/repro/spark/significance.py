@@ -9,43 +9,33 @@ z-score z_M = (r_M - mu_M) / sigma_M over R random graphs. When every
 random count is the same (sigma_M = 0, always so for R = 1), z_M is +inf or
 -inf by the sign of r_M - mu_M, and 0 when they are equal.
 
-Because only flows change, the R + 1 graphs share G_T, the delta-pruned
-P1 matches and every delta-window, and :func:`significance` runs one plan
-for all of them: P1 over the network's own G_T (the stored one of a cached
-network, see :func:`repro.spark.graph.timeseries_graph`), so a
-significance query reads the same G_T as every other query. The driver
-collects the interactions once, checks the input contract on them and
-draws the R seeded permutations into one matrix (row i: the R permuted
-flows of interaction i), whose rows it orders by connected pair and time,
-as G_T orders each pair's series. That matrix and each pair's row range
-ship with the P2 kernel, which counts every match R + 1 times (real flows
-``fs``, then column r of each motif edge's rows). The driver holds
-O(n * (R + 1)) flows for n interactions, as many doubles as the R permuted
-edge lists it replaces.
+Maximality (Definition 3.3) does not depend on phi, so the phi-instances of
+each of the R + 1 graphs are exactly the phi = 0 maximal instances whose
+edge-set flows, under that graph's flows, are all >= phi. :func:`significance`
+therefore runs one ``find_instances`` at phi = 0, over the network's own
+G_T like every other query, and collects its rows. The driver holds one
+(n, R + 1) flow matrix for n interactions, column 0 the real flows and
+column r the r-th permutation, with its rows ordered by ``(src, dst, t)`` as
+G_T orders each pair's series; each instance's edge-set is then a run of
+rows, which the driver left-folds over all columns at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import Motif
 from repro.core.search import _finite
 from repro.spark.graph import check_interactions
-from repro.spark.search import _Match, p2
+from repro.spark.search import find_instances
 
 #: Deterministic row order used to index interactions before permuting.
 _ORDER = ["t", "src", "dst"]
-
-_COUNTS_SCHEMA = StructType(
-    [StructField("r", IntegerType()), StructField("n", LongType())]
-)
 
 
 def _sorted_interactions(edges: DataFrame) -> pd.DataFrame:
@@ -64,23 +54,6 @@ def _permuted_flows(f: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     return np.column_stack(
         [f[np.random.default_rng(s).permutation(n)] for s in seeds]
     )
-
-
-def _flows_by_pair(
-    pdf: pd.DataFrame, fr: np.ndarray
-) -> tuple[np.ndarray, dict[tuple[int, int], tuple[int, int]]]:
-    """``fr`` (one row per interaction of ``pdf``) with its rows ordered by
-    ``(src, dst, t)``, and each connected pair's ``(start, stop)`` rows in
-    it: a pair's rows follow its series in G_T, which is sorted by ``t``."""
-    src, dst = pdf["src"].to_numpy(), pdf["dst"].to_numpy()
-    order = np.lexsort((pdf["t"].to_numpy(), dst, src))
-    src, dst = src[order], dst[order]
-    starts = np.flatnonzero(np.r_[True, (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])])
-    stops = np.r_[starts[1:], len(order)]
-    rows = {
-        (int(src[a]), int(dst[a])): (int(a), int(b)) for a, b in zip(starts, stops)
-    }
-    return fr[order], rows
 
 
 def permute_flows(edges: DataFrame, seed: int) -> DataFrame:
@@ -123,33 +96,35 @@ def significance(
     """Real vs randomized instance counts and the z-score for one motif.
 
     Random graph r (0 <= r < ``n_random``; the paper uses 20) is
-    ``permute_flows(edges, seed * 1000 + r)``, and all of them are counted
-    in one plan with the real graph. Raises ``ValueError`` unless
-    ``n_random >= 1``, when ``delta`` or ``phi`` is NaN or infinite, and
-    when ``edges`` has a duplicate ``(src, dst, t)``, a null, NaN or
+    ``permute_flows(edges, seed * 1000 + r)``. One ``find_instances`` at
+    phi = 0 enumerates the instances of all R + 1 graphs; each edge-set's
+    flow in each graph is the left fold of its run of the flow matrix (the
+    one flow rule of ``Series.range_sum``), and a graph counts an instance
+    when all its edge-set flows are >= ``phi``. Raises ``ValueError``
+    unless ``n_random >= 1``, when ``delta`` or ``phi`` is NaN or infinite,
+    and when ``edges`` has a duplicate ``(src, dst, t)``, a null, NaN or
     infinite timestamp, or a null, NaN, infinite or non-positive flow.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
     _finite(phi)
     pdf = _sorted_interactions(edges)
+    f = pdf["f"].to_numpy()
     seeds = [seed * 1000 + r for r in range(n_random)]
-    fr, rows = _flows_by_pair(pdf, _permuted_flows(pdf["f"].to_numpy(), seeds))
-
-    def per_batch(matches: Iterator[_Match]) -> list[tuple]:
-        counts = [0] * (n_random + 1)
-        for binding, series in matches:
-            counts[0] += len(enumerate_instances(series, delta, phi))
-            frs = [fr[slice(*rows[binding[a], binding[b]])] for a, b in motif.edges]
-            for r in range(n_random):
-                permuted = [Series(zip(s.ts, f[:, r])) for s, f in zip(series, frs)]
-                counts[r + 1] += len(enumerate_instances(permuted, delta, phi))
-        return list(enumerate(counts))
-
-    totals = [0] * (n_random + 1)
-    for r, n in p2(edges, motif, delta, per_batch, _COUNTS_SCHEMA).collect():
-        totals[r] += n
-    real, counts = totals[0], totals[1:]
+    by_pair = pdf.sort_values(["src", "dst", "t"])
+    flows = np.column_stack([f, _permuted_flows(f, seeds)])[by_pair.index]
+    row = {key: i for i, key in enumerate(zip(by_pair.src, by_pair.dst, by_pair.t))}
+    totals = np.zeros(n_random + 1, dtype=np.int64)
+    for inst in find_instances(edges, motif, delta, 0.0).collect():
+        ok = np.ones(n_random + 1, dtype=bool)
+        for i, (a, b) in enumerate(motif.edges):
+            u, v = inst[f"v{a}"], inst[f"v{b}"]
+            acc = np.zeros(n_random + 1)
+            for fs in flows[row[u, v, inst[f"ts{i}"]] : row[u, v, inst[f"te{i}"]] + 1]:
+                acc += fs
+            ok &= acc >= phi
+        totals += ok
+    real, counts = int(totals[0]), totals[1:].tolist()
     mu = float(np.mean(counts))
     sigma = float(np.std(counts))
     if sigma > 0:

@@ -115,7 +115,9 @@ def test_crosscheck_hypothesis(data, m, delta, phi):
 )
 def test_float_flows_hypothesis(data, m, n, flow_seed, delta):
     """Bitcoin's flows (4-dp log-normals) with phi equal to an edge-set sum
-    that occurs: Algorithm 1 == brute force, and heap top-1 == DP, exactly."""
+    that occurs: Algorithm 1 == brute force, heap top-1 == DP, and the
+    phi-instances are the phi = 0 instances whose edge-set flows are all
+    >= phi (what significance counts from one phi = 0 enumeration), exactly."""
     times = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=500), min_size=n, max_size=n, unique=True
@@ -134,6 +136,11 @@ def test_float_flows_hypothesis(data, m, n, flow_seed, delta):
     ]
     phi = data.draw(st.sampled_from(sums))
     assert_algo1_matches_definition(series, delta / 10, phi)
+    assert [(i.ranges, i.flows) for i in enumerate_instances(series, delta / 10, phi)] == [
+        (i.ranges, i.flows)
+        for i in enumerate_instances(series, delta / 10, 0.0)
+        if min(i.flows) >= phi
+    ]
     top = topk_flows([series], delta / 10, 1)
     assert dp_max_flow(series, delta / 10) == (top[0] if top else 0.0)
 

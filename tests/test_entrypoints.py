@@ -8,6 +8,7 @@ work belongs under ``__main__`` or in fixtures.
 import ast
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,18 @@ def test_run_experiments_names_every_harness():
     assert set(names) == harnesses
 
 
+@pytest.mark.parametrize("n_random", ["0", "-3"])
+def test_run_experiments_rejects_n_random_below_one(monkeypatch, n_random):
+    """A bad ``--n-random`` is a usage error before any Spark session starts,
+    not a failure of fig14_significance after every other harness ran."""
+    job = load_job(ROOT / "jobs" / "run_experiments.py")
+    monkeypatch.setattr(job, "SparkSession", None)
+    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "--n-random", n_random])
+    with pytest.raises(SystemExit) as exc:
+        job.main()
+    assert exc.value.code == 2
+
+
 #: Every PySpark entry point that runs Python code on the executors.
 EXECUTOR_PYTHON = {
     "mapInPandas",
@@ -76,7 +89,9 @@ EXECUTOR_PYTHON = {
 def test_python_kernels_only_in_p2_driver():
     """Executor-side Python (``mapInPandas``, UDFs, RDD functions, ...,
     whether called as an attribute or imported by name) runs only in the one
-    P2 driver, ``repro.spark.search.p2``."""
+    P2 driver, ``repro.spark.search.p2``, and only ``spark/search.py`` refers
+    to that driver: another module reaches P2 through a query of
+    ``search``, not a kernel of its own."""
     callers = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -86,7 +101,7 @@ def test_python_kernels_only_in_p2_driver():
                 names = {a.name for a in node.names}
             else:
                 continue
-            if names & EXECUTOR_PYTHON:
+            if names & (EXECUTOR_PYTHON | {"p2"}):
                 callers.add(path.relative_to(SRC).as_posix())
     assert callers == {"spark/search.py"}
 

@@ -120,8 +120,9 @@ class TestStoredTimeseriesGraph:
         assert timeseries_graph(edges).storageLevel.useMemory
 
     def test_significance_reads_stored_gt(self, spark, monkeypatch):
-        """Significance runs P1 over the network's own (stored) G_T, like
-        every other query, not over a G_T of a frame of its own."""
+        """Significance's one phi = 0 ``find_instances`` runs P1 over the
+        network's own (stored) G_T, like every other query, not over a G_T
+        of a frame of its own."""
         edges = self.cached_network(spark)
         inputs = []
 

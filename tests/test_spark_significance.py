@@ -150,18 +150,27 @@ def _sorted_edge_list(df):
 
 
 class TestSinglePassExact:
-    """The one-plan significance equals counting each permuted graph on its
-    own, permutation by permutation."""
+    """Counting every graph from one phi = 0 enumeration equals counting
+    each permuted graph on its own, permutation by permutation."""
 
-    @pytest.fixture(params=["bitcoin", "random"])
+    @pytest.fixture(params=["bitcoin", "random", "bitcoin-tie"])
     def case(self, request, spark, bitcoin_small):
         """(edges, delta, phi): bitcoin's 4-dp log-normal flows at its
-        default delta/phi, and a small integer-flow random graph."""
-        if request.param == "bitcoin":
-            from repro.networks.generators import SPECS
+        default delta/phi, a small integer-flow random graph, and bitcoin
+        with phi the median first edge-set flow of random graph 0 of seed 0
+        at phi = 0, so that graph has an instance whose flow test is an
+        exact tie."""
+        from repro.networks.generators import SPECS
 
-            spec = SPECS["bitcoin"]
+        spec = SPECS["bitcoin"]
+        if request.param == "bitcoin":
             return bitcoin_small, spec.delta_default, spec.phi_default
+        if request.param == "bitcoin-tie":
+            inst = sp.find_instances(
+                permute_flows(bitcoin_small, 0), MOTIFS["M(3,2)"], spec.delta_default, 0.0
+            )
+            f0 = sorted(r.f0 for r in inst.collect())
+            return bitcoin_small, spec.delta_default, f0[len(f0) // 2]
         edges = to_spark_edges(spark, random_edges(7, n_nodes=6, n_edges=40))
         return edges, 12.0, 10.0
 
@@ -219,13 +228,23 @@ class TestSinglePassExact:
             spark.conf.set(key, "true")
 
 
-def test_one_plan_for_any_n_random(spark, passenger_small):
+def test_one_plan_for_any_n_random(spark, passenger_small, monkeypatch):
     """The Spark job count does not grow with the number of permutations,
-    so the random graphs are not counted one plan at a time."""
+    so the random graphs are not counted one plan at a time: each call
+    enumerates instances once, with ``find_instances`` at phi = 0."""
     from repro.networks.generators import SPECS
+    from repro.spark import significance as sig
 
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sp.find_instances(*args)
+
+    monkeypatch.setattr(sig, "find_instances", spy)
     sc = spark.sparkContext
     spec = SPECS["passenger"]
+    motif = MOTIFS["M(3,2)"]
     jobs = {}
     try:
         for n_random in (1, 5):
@@ -233,7 +252,7 @@ def test_one_plan_for_any_n_random(spark, passenger_small):
             sc.setJobGroup(group, group)
             significance(
                 passenger_small,
-                MOTIFS["M(3,2)"],
+                motif,
                 spec.delta_default,
                 spec.phi_default,
                 n_random=n_random,
@@ -244,6 +263,7 @@ def test_one_plan_for_any_n_random(spark, passenger_small):
             sc.setLocalProperty(f"spark.{key}", None)
     assert jobs[1] > 0
     assert jobs[1] == jobs[5]
+    assert calls == [(passenger_small, motif, spec.delta_default, 0.0)] * 2
 
 
 class TestInputContract:
