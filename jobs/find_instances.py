@@ -6,6 +6,7 @@ Usage:
       [--sf 0.5] [--delta 600] [--phi 5] [--mode enumerate|count|topk|maxflow] [--k 10]
 """
 import argparse
+import math
 
 from pyspark.sql import SparkSession
 
@@ -27,6 +28,13 @@ def main() -> None:
                     default="count")
     ap.add_argument("--k", type=int, default=10)
     args = ap.parse_args()
+    if args.k < 1:
+        ap.error(f"--k must be >= 1, got {args.k}")
+    if not (args.sf > 0 and math.isfinite(args.sf)):
+        ap.error(f"--sf must be finite and > 0, got {args.sf}")
+    for flag, x in (("--delta", args.delta), ("--phi", args.phi)):
+        if x is not None and not math.isfinite(x):
+            ap.error(f"{flag} must be finite, got {x}")
 
     spark = SparkSession.builder.appName("find_instances").getOrCreate()
     edges = experiments.load(spark, args.dataset, sf=args.sf, seed=args.seed)

@@ -11,6 +11,7 @@ Usage: spark-submit jobs/run_experiments.py [name ...] [--sf 0.5] [--seed 0]
 """
 import argparse
 import contextlib
+import math
 import sys
 
 from pyspark.sql import SparkSession
@@ -22,12 +23,10 @@ NAMES = (
     "table3",
     "table4",
     "fig8",
-    "fig8_intermediates",
     "fig9_delta",
     "fig10_phi",
     "fig11_topk",
-    "fig12_dp",
-    "fig12_kernel",
+    "fig12",
     "fig13_scalability",
     "fig14_significance",
 )
@@ -48,6 +47,8 @@ def main() -> None:
         ap.error(f"unknown experiment(s): {', '.join(unknown)}")
     if args.n_random < 1:
         ap.error(f"--n-random must be >= 1, got {args.n_random}")
+    if not (args.sf > 0 and math.isfinite(args.sf)):
+        ap.error(f"--sf must be finite and > 0, got {args.sf}")
 
     spark = SparkSession.builder.appName("run_experiments").getOrCreate()
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:

@@ -204,12 +204,17 @@ def fig8(
     seed: int = 0,
     motifs: Sequence[str] = ("M(3,2)", "M(3,3)", "M(4,3)"),
 ) -> pd.DataFrame:
-    """Runtime of the two-phase algorithm vs the join baseline at defaults.
+    """Runtime of the two-phase algorithm vs the join baseline at defaults,
+    and the join's intermediate cardinalities.
 
     Both return the same instance count (asserted in tests); the paper
     reports the two-phase algorithm ~2x faster. One untimed run of each on
     the first cell warms the session first, so that the first timed cell
-    does not pay for it.
+    does not pay for it. The paper blames the baseline's sub-motif
+    instances that never extend to full ones, so each cell then counts,
+    untimed, the join cascade after every step and reports its peak over
+    ``instances`` (``redundancy``), which shows the blow-up even where
+    laptop-scale wall-clock is overhead (EXPERIMENTS.md).
     """
     cells = list(_cells(spark, sf, seed, motifs))
     if cells:
@@ -220,76 +225,17 @@ def fig8(
     for kind, edges, delta, phi, motif in cells:
         n_two, t_two = _timed(sp.count_instances, edges, motif, delta, phi)
         n_join, t_join = _timed(count_instances_join, edges, motif, delta, phi)
+        counts = join_intermediate_counts(edges, motif, delta, phi)
         rows.append(
             dict(dataset=kind, motif=motif.name, instances=n_two,
                  instances_join=n_join,
                  twophase_seconds=round(t_two, 3),
                  join_seconds=round(t_join, 3),
-                 speedup=round(t_join / t_two, 2) if t_two else float("nan"))
-        )
-    return pd.DataFrame(rows)
-
-
-def fig8_intermediates(
-    spark: SparkSession,
-    *,
-    sf: float = DEFAULT_SF,
-    seed: int = 0,
-    motifs: Sequence[str] = ("M(3,2)", "M(4,3)"),
-) -> pd.DataFrame:
-    """Fig. 8 mechanism: the join baseline's intermediate cardinalities.
-
-    The paper attributes the baseline's slowness to sub-motif instances
-    that never extend to full instances; this reports the cascade's
-    cardinality after every join step next to the final maximal-instance
-    count, so the redundancy ratio is explicit even where wall-clock at
-    laptop scale is overhead-dominated (see EXPERIMENTS.md).
-    """
-    rows = []
-    for kind, edges, delta, phi, motif in _cells(spark, sf, seed, motifs):
-        counts = join_intermediate_counts(edges, motif, delta, phi)
-        final = sp.count_instances(edges, motif, delta, phi)
-        rows.append(
-            dict(dataset=kind, motif=motif.name,
+                 speedup=round(t_join / t_two, 2) if t_two else float("nan"),
                  intervals=counts[0],
                  step_counts=str(counts[1:]),
                  peak_intermediate=max(counts),
-                 maximal_instances=final,
-                 redundancy=round(max(counts) / final, 1) if final else None)
-        )
-    return pd.DataFrame(rows)
-
-
-def fig12_kernel(
-    spark: SparkSession,
-    *,
-    sf: float = DEFAULT_SF,
-    seed: int = 0,
-    motifs: Sequence[str] = ("M(3,2)", "M(3,3)"),
-) -> pd.DataFrame:
-    """Fig. 12 at the algorithm level: P2 kernel time, heap top-1 vs DP.
-
-    Collects every structural match's series to the driver and times the
-    two per-match kernels back-to-back, excluding all Spark scheduling
-    overhead — the comparison the paper's single-machine Python
-    implementation actually makes.
-    """
-    rows = []
-    for kind, edges, delta, _, motif in _cells(spark, sf, seed, motifs):
-        all_series = [
-            sp.parse_match(r, motif)[1]
-            for r in sp.matches_with_series(edges, motif).collect()
-        ]
-        top, t_heap = _timed(topk_flows, all_series, delta, 1)
-        best, t_dp = _timed(
-            lambda: max((dp_max_flow(s, delta) for s in all_series), default=0.0)
-        )
-        rows.append(
-            dict(dataset=kind, motif=motif.name, matches=len(all_series),
-                 top1_flow=top[0] if top else 0.0, dp_flow=best,
-                 heap_kernel_seconds=round(t_heap, 4),
-                 dp_kernel_seconds=round(t_dp, 4),
-                 dp_speedup=round(t_heap / t_dp, 2) if t_dp else None)
+                 redundancy=round(max(counts) / n_two, 1) if n_two else None)
         )
     return pd.DataFrame(rows)
 
@@ -365,22 +311,40 @@ def fig11_topk(
 
 
 # --- Fig. 12: DP module vs heap top-1 ---------------------------------------
-def fig12_dp(
+def fig12(
     spark: SparkSession,
     *,
     sf: float = DEFAULT_SF,
     seed: int = 0,
     motifs: Sequence[str] = ("M(3,2)", "M(3,3)"),
 ) -> pd.DataFrame:
-    """Top-1 search runtime: general top-k (k=1) vs the DP module."""
+    """Top-1 search runtime: general top-k (k=1) vs the DP module.
+
+    ``heap_seconds`` and ``dp_seconds`` time the Spark queries, which give
+    the two flows. Then every structural match's series is collected to the
+    driver once and the two per-match kernels are timed back-to-back over
+    them (``*_kernel_seconds``), without Spark's scheduling overhead: the
+    comparison the paper's single-machine Python implementation makes.
+    """
     rows = []
     for kind, edges, delta, _, motif in _cells(spark, sf, seed, motifs):
         top, t_heap = _timed(sp.topk_flows, edges, motif, delta, 1)
         best, t_dp = _timed(sp.max_flow, edges, motif, delta)
+        all_series = [
+            sp.parse_match(r, motif)[1]
+            for r in sp.matches_with_series(edges, motif).collect()
+        ]
+        _, t_heap_k = _timed(topk_flows, all_series, delta, 1)
+        _, t_dp_k = _timed(
+            lambda: max((dp_max_flow(s, delta) for s in all_series), default=0.0)
+        )
         rows.append(
-            dict(dataset=kind, motif=motif.name,
+            dict(dataset=kind, motif=motif.name, matches=len(all_series),
                  top1_flow=top[0] if top else 0.0, dp_flow=best,
-                 heap_seconds=round(t_heap, 3), dp_seconds=round(t_dp, 3))
+                 heap_seconds=round(t_heap, 3), dp_seconds=round(t_dp, 3),
+                 heap_kernel_seconds=round(t_heap_k, 4),
+                 dp_kernel_seconds=round(t_dp_k, 4),
+                 dp_kernel_speedup=round(t_heap_k / t_dp_k, 2) if t_dp_k else None)
         )
     return pd.DataFrame(rows)
 

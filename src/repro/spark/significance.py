@@ -107,6 +107,7 @@ def significance(
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1, got {n_random}")
+    _finite(delta)
     _finite(phi)
     pdf = _sorted_interactions(edges)
     f = pdf["f"].to_numpy()

@@ -59,6 +59,15 @@ def test_run_experiments_names_every_harness():
     assert set(names) == harnesses
 
 
+def test_experiments_raw_has_one_block_per_harness():
+    """``experiments_raw.txt`` is what ``run_experiments.py --out`` writes:
+    one block per harness, in the job's order and under its headers."""
+    names = load_job(ROOT / "jobs" / "run_experiments.py").NAMES
+    lines = (ROOT / "experiments_raw.txt").read_text().splitlines()
+    headers = [line for line in lines if line.startswith("=== ")]
+    assert headers == [f"=== {n} (sf=0.5, seed=0) ===" for n in names]
+
+
 @pytest.mark.parametrize("n_random", ["0", "-3"])
 def test_run_experiments_rejects_n_random_below_one(monkeypatch, n_random):
     """A bad ``--n-random`` is a usage error before any Spark session starts,
@@ -68,6 +77,32 @@ def test_run_experiments_rejects_n_random_below_one(monkeypatch, n_random):
     monkeypatch.setattr(sys, "argv", ["run_experiments.py", "--n-random", n_random])
     with pytest.raises(SystemExit) as exc:
         job.main()
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "job, args",
+    [
+        ("run_experiments", "table3 --sf nan"),
+        ("run_experiments", "--sf inf"),
+        ("run_experiments", "--sf 0"),
+        ("find_instances", "--mode topk --k 0"),
+        ("find_instances", "--delta nan"),
+        ("find_instances", "--phi inf"),
+        ("find_instances", "--sf -1"),
+        ("find_instances", "--sf nan"),
+    ],
+)
+def test_job_rejects_bad_number_before_spark(monkeypatch, job, args):
+    """A bad numeric argument is a usage error before any Spark session
+    starts, not a failure after session start and network generation."""
+    mod = load_job(ROOT / "jobs" / f"{job}.py")
+    monkeypatch.setattr(mod, "SparkSession", None)
+    if job == "find_instances":
+        args = f"--dataset passenger --motif M(3,2) {args}"
+    monkeypatch.setattr(sys, "argv", [f"{job}.py", *args.split()])
+    with pytest.raises(SystemExit) as exc:
+        mod.main()
     assert exc.value.code == 2
 
 

@@ -102,6 +102,8 @@ class TestFig8:
         df = ex.fig8(spark, sf=SF, motifs=["M(3,2)"])
         assert (df.instances == df.instances_join).all()
         assert (df.twophase_seconds > 0).all() and (df.join_seconds > 0).all()
+        assert (df.peak_intermediate >= df.instances).all()
+        assert "redundancy" in df.columns
 
 
 class TestFig9And10:
@@ -152,9 +154,11 @@ class TestFig11And12:
             assert flows == sorted(flows, reverse=True)
 
     def test_dp_agrees_with_heap_top1(self, spark):
-        df = ex.fig12_dp(spark, sf=SF, motifs=["M(3,2)"])
+        df = ex.fig12(spark, sf=SF, motifs=["M(3,2)"])
         for _, row in df.iterrows():
             assert row.dp_flow == pytest.approx(row.top1_flow)
+        assert (df.heap_kernel_seconds > 0).all()
+        assert (df.dp_kernel_seconds > 0).all()
 
 
 class TestFig13:
@@ -188,18 +192,3 @@ class TestTable2:
         assert list(df.columns) == ["kappa", "t", "flow", "paper_flow"]
         assert tuple(df.iloc[-1]) == (3, 19, 5, 5)
 
-
-class TestFig8Intermediates:
-    def test_redundancy_reported(self, spark):
-        df = ex.fig8_intermediates(spark, sf=SF, motifs=["M(3,2)"])
-        assert (df.peak_intermediate >= df.maximal_instances).all()
-        assert "redundancy" in df.columns
-
-
-class TestFig12Kernel:
-    def test_kernels_agree_on_top1(self, spark):
-        df = ex.fig12_kernel(spark, sf=SF, motifs=["M(3,2)"])
-        for _, row in df.iterrows():
-            assert row.dp_flow == pytest.approx(row.top1_flow)
-        assert (df.heap_kernel_seconds > 0).all()
-        assert (df.dp_kernel_seconds > 0).all()

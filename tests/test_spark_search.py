@@ -239,10 +239,18 @@ class TestNonFiniteParameters:
             lambda e, d: sp.topk_flows(e, MOTIFS["M(3,3)"], d, 3),
             lambda e, d: sp.max_flow(e, MOTIFS["M(3,3)"], d),
             lambda e, d: count_instances_join(e, MOTIFS["M(3,3)"], d, 1.0),
+            lambda e, d: significance(e, MOTIFS["M(3,3)"], d, 1.0, n_random=2),
         ],
-        ids=["count", "find", "topk", "maxflow", "join"],
+        ids=["count", "find", "topk", "maxflow", "join", "signif"],
     )
-    def test_delta_rejected(self, spark, query, delta):
+    def test_delta_rejected(self, spark, monkeypatch, query, delta):
+        """Significance rejects delta before it collects the network."""
+        def collected(edges):
+            raise AssertionError("network collected before delta was checked")
+
+        monkeypatch.setattr(
+            "repro.spark.significance._sorted_interactions", collected
+        )
         with pytest.raises(ValueError, match="not finite"):
             query(to_spark_edges(spark, FIG2_EDGES), delta)
 
