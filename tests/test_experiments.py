@@ -97,11 +97,28 @@ class TestTable4:
             assert row.matches == len(structural_matches(pairs, MOTIFS[row.motif]))
 
 
+@pytest.fixture(scope="module")
+def fig8_df(spark):
+    """One fig8 run shared by the count and the intermediate-size checks."""
+    return ex.fig8(spark, sf=SF, motifs=["M(3,2)"])
+
+
+@pytest.fixture(scope="module")
+def fig12_df(spark):
+    """One fig12 run shared by the flow and the kernel-timing checks."""
+    return ex.fig12(spark, sf=SF, motifs=["M(3,2)"])
+
+
 class TestFig8:
-    def test_counts_agree_between_algorithms(self, spark):
-        df = ex.fig8(spark, sf=SF, motifs=["M(3,2)"])
+    def test_counts_agree_between_algorithms(self, fig8_df):
+        df = fig8_df
         assert (df.instances == df.instances_join).all()
         assert (df.twophase_seconds > 0).all() and (df.join_seconds > 0).all()
+
+
+class TestFig8Intermediates:
+    def test_redundancy_reported(self, fig8_df):
+        df = fig8_df
         assert (df.peak_intermediate >= df.instances).all()
         assert "redundancy" in df.columns
 
@@ -153,8 +170,14 @@ class TestFig11And12:
             flows = [f for f in grp.sort_values("k").kth_flow if f is not None]
             assert flows == sorted(flows, reverse=True)
 
-    def test_dp_agrees_with_heap_top1(self, spark):
-        df = ex.fig12(spark, sf=SF, motifs=["M(3,2)"])
+    def test_dp_agrees_with_heap_top1(self, fig12_df):
+        for _, row in fig12_df.iterrows():
+            assert row.dp_flow == pytest.approx(row.top1_flow)
+
+
+class TestFig12Kernel:
+    def test_kernels_agree_on_top1(self, fig12_df):
+        df = fig12_df
         for _, row in df.iterrows():
             assert row.dp_flow == pytest.approx(row.top1_flow)
         assert (df.heap_kernel_seconds > 0).all()
