@@ -32,6 +32,8 @@ def main() -> None:
         ap.error(f"--k must be >= 1, got {args.k}")
     if not (args.sf > 0 and math.isfinite(args.sf)):
         ap.error(f"--sf must be finite and > 0, got {args.sf}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
     for flag, x in (("--delta", args.delta), ("--phi", args.phi)):
         if x is not None and not math.isfinite(x):
             ap.error(f"{flag} must be finite, got {x}")

@@ -17,6 +17,8 @@ import sys
 from pyspark.sql import SparkSession
 
 from repro import experiments as ex
+from repro.spark import search as sp
+from repro.spark.join_baseline import count_instances_join
 
 NAMES = (
     "table2",
@@ -49,8 +51,14 @@ def main() -> None:
         ap.error(f"--n-random must be >= 1, got {args.n_random}")
     if not (args.sf > 0 and math.isfinite(args.sf)):
         ap.error(f"--sf must be finite and > 0, got {args.sf}")
+    if args.seed < 0:
+        ap.error(f"--seed must be >= 0, got {args.seed}")
 
     spark = SparkSession.builder.appName("run_experiments").getOrCreate()
+    # Start the Python workers before the first timed cell of any harness.
+    _, edges, delta, phi, motif = next(ex._cells(spark, args.sf, args.seed, ("M(3,2)",)))
+    sp.count_instances(edges, motif, delta, phi)
+    count_instances_join(edges, motif, delta, phi)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
         for name in args.names or NAMES:
             kwargs = dict(sf=args.sf, seed=args.seed)

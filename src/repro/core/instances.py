@@ -107,13 +107,6 @@ class Instance:
         """Equation 1: the minimum edge-set flow."""
         return min(self.flows)
 
-    def edge_sets(self, series: Sequence[Series]) -> tuple[tuple[tuple[float, float], ...], ...]:
-        """Materialize the per-edge (t, f) sets, for display and tests."""
-        return tuple(
-            tuple(zip(r.ts[s : e + 1], r.fs[s : e + 1]))
-            for r, (s, e) in zip(series, self.ranges)
-        )
-
 
 def is_maximal(series: Sequence[Series], ranges: Ranges, delta: float) -> bool:
     """Definition 3.3: no single interaction can be added to any edge-set.

@@ -26,7 +26,7 @@ from repro.core.dp import max_flow as dp_max_flow
 from repro.core.instances import Series
 from repro.core.motif import MOTIF_ORDER, MOTIFS, Motif
 from repro.core.topk import topk_flows
-from repro.networks.generators import DATASETS, SPECS, generate, time_prefix
+from repro.networks.generators import DATASETS, SPECS, generate
 from repro.spark import search as sp
 from repro.spark.graph import (
     check_interactions,
@@ -36,7 +36,7 @@ from repro.spark.graph import (
 )
 from repro.spark.join_baseline import count_instances_join, join_intermediate_counts
 from repro.spark.significance import significance
-from repro.spark.structural import structural_matches_df
+from repro.spark.structural import sql_double, structural_matches_df
 
 #: Paper Table 3 — statistics of the real datasets.
 PAPER_TABLE3 = {
@@ -208,21 +208,14 @@ def fig8(
     and the join's intermediate cardinalities.
 
     Both return the same instance count (asserted in tests); the paper
-    reports the two-phase algorithm ~2x faster. One untimed run of each on
-    the first cell warms the session first, so that the first timed cell
-    does not pay for it. The paper blames the baseline's sub-motif
-    instances that never extend to full ones, so each cell then counts,
-    untimed, the join cascade after every step and reports its peak over
-    ``instances`` (``redundancy``), which shows the blow-up even where
-    laptop-scale wall-clock is overhead (EXPERIMENTS.md).
+    reports the two-phase algorithm ~2x faster. The paper blames the
+    baseline's sub-motif instances that never extend to full ones, so each
+    cell then counts, untimed, the join cascade after every step and reports
+    its peak over ``instances`` (``redundancy``), which shows the blow-up
+    even where laptop-scale wall-clock is overhead (EXPERIMENTS.md).
     """
-    cells = list(_cells(spark, sf, seed, motifs))
-    if cells:
-        _, edges, delta, phi, motif = cells[0]
-        sp.count_instances(edges, motif, delta, phi)
-        count_instances_join(edges, motif, delta, phi)
     rows = []
-    for kind, edges, delta, phi, motif in cells:
+    for kind, edges, delta, phi, motif in _cells(spark, sf, seed, motifs):
         n_two, t_two = _timed(sp.count_instances, edges, motif, delta, phi)
         n_join, t_join = _timed(count_instances_join, edges, motif, delta, phi)
         counts = join_intermediate_counts(edges, motif, delta, phi)
@@ -321,10 +314,11 @@ def fig12(
     """Top-1 search runtime: general top-k (k=1) vs the DP module.
 
     ``heap_seconds`` and ``dp_seconds`` time the Spark queries, which give
-    the two flows. Then every structural match's series is collected to the
-    driver once and the two per-match kernels are timed back-to-back over
-    them (``*_kernel_seconds``), without Spark's scheduling overhead: the
-    comparison the paper's single-machine Python implementation makes.
+    the two flows. Then the δ-pruned matches those queries feed P2 are
+    collected to the driver once and the two per-match kernels are timed
+    back-to-back over their series (``*_kernel_seconds``), without Spark's
+    scheduling overhead: the comparison the paper's single-machine Python
+    implementation makes.
     """
     rows = []
     for kind, edges, delta, _, motif in _cells(spark, sf, seed, motifs):
@@ -332,7 +326,7 @@ def fig12(
         best, t_dp = _timed(sp.max_flow, edges, motif, delta)
         all_series = [
             sp.parse_match(r, motif)[1]
-            for r in sp.matches_with_series(edges, motif).collect()
+            for r in sp.matches_with_series(edges, motif, delta).collect()
         ]
         _, t_heap_k = _timed(topk_flows, all_series, delta, 1)
         _, t_dp_k = _timed(
@@ -358,20 +352,18 @@ def fig13_scalability(
     motif: str = "M(3,2)",
     fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
 ) -> pd.DataFrame:
-    """#instances and runtime on time-prefix samples (B1..B5 analogues)."""
+    """#instances and runtime on time-prefix samples (B1..B5 analogues): the
+    interactions of ``load``'s network with ``t <= span * fraction``. The
+    prefixes are uncached, so each timed count also builds its G_T in the
+    plan, unlike every other figure."""
     rows = []
-    for kind in DATASETS:
-        pdf = check_interactions(generate(kind, sf=sf, seed=seed))
-        delta, phi = SPECS[kind].delta_default, SPECS[kind].phi_default
+    for kind, edges, delta, phi, m in _cells(spark, sf, seed, (motif,)):
         for frac in fractions:
-            sample = time_prefix(pdf, frac, kind)
-            edges = spark.createDataFrame(
-                sample, schema="src long, dst long, t double, f double"
-            )
-            n, secs = _timed(sp.count_instances, edges, MOTIFS[motif], delta, phi)
+            prefix = edges.filter(f"t <= {sql_double(SPECS[kind].span * frac)}")
+            n, secs = _timed(sp.count_instances, prefix, m, delta, phi)
             rows.append(
                 dict(dataset=kind, motif=motif, fraction=frac,
-                     n_edges=len(sample), instances=n, seconds=round(secs, 3))
+                     n_edges=prefix.count(), instances=n, seconds=round(secs, 3))
             )
     return pd.DataFrame(rows)
 

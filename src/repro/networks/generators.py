@@ -366,11 +366,6 @@ def generate(kind: str, *, sf: float = 1.0, seed: int = 0) -> pd.DataFrame:
     return pdf.sort_values("t", ignore_index=True)
 
 
-def time_prefix(pdf: pd.DataFrame, frac: float, kind: str) -> pd.DataFrame:
-    """Fig. 13 sampling: interactions in the first ``frac`` of the span."""
-    return pdf[pdf.t <= SPECS[kind].span * frac].reset_index(drop=True)
-
-
 def stats(pdf: pd.DataFrame) -> dict[str, float]:
     """Table 3 statistics of a generated network."""
     return {

@@ -86,11 +86,13 @@ def test_run_experiments_rejects_n_random_below_one(monkeypatch, n_random):
         ("run_experiments", "table3 --sf nan"),
         ("run_experiments", "--sf inf"),
         ("run_experiments", "--sf 0"),
+        ("run_experiments", "--seed -1"),
         ("find_instances", "--mode topk --k 0"),
         ("find_instances", "--delta nan"),
         ("find_instances", "--phi inf"),
         ("find_instances", "--sf -1"),
         ("find_instances", "--sf nan"),
+        ("find_instances", "--seed -1"),
     ],
 )
 def test_job_rejects_bad_number_before_spark(monkeypatch, job, args):

@@ -109,6 +109,12 @@ def fig12_df(spark):
     return ex.fig12(spark, sf=SF, motifs=["M(3,2)"])
 
 
+@pytest.fixture(scope="module")
+def fig13_df(spark):
+    """One fig13 run shared by the growth and the reference checks."""
+    return ex.fig13_scalability(spark, sf=SF, fractions=(0.5, 1.0))
+
+
 class TestFig8:
     def test_counts_agree_between_algorithms(self, fig8_df):
         df = fig8_df
@@ -183,14 +189,33 @@ class TestFig12Kernel:
         assert (df.heap_kernel_seconds > 0).all()
         assert (df.dp_kernel_seconds > 0).all()
 
+    def test_kernels_see_the_pruned_matches(self, spark, fig12_df):
+        """The kernels are timed on the δ-pruned matches that the Spark
+        queries feed P2, not on every structural match."""
+        for _, row in fig12_df.iterrows():
+            edges = ex.load(spark, row.dataset, sf=SF)
+            delta = SPECS[row.dataset].delta_default
+            pruned = sp.matches_with_series(edges, MOTIFS[row.motif], delta)
+            assert row.matches == pruned.count()
+
 
 class TestFig13:
-    def test_prefix_growth(self, spark):
-        df = ex.fig13_scalability(spark, sf=SF, fractions=(0.5, 1.0))
-        for kind, grp in df.groupby("dataset"):
+    def test_prefix_growth(self, fig13_df):
+        for kind, grp in fig13_df.groupby("dataset"):
             grp = grp.sort_values("fraction")
             assert grp.n_edges.iloc[-1] >= grp.n_edges.iloc[0]
             assert grp.instances.iloc[-1] >= grp.instances.iloc[0]
+
+    def test_counts_equal_reference(self, fig13_df):
+        """Each row counts the interactions with ``t <= span * fraction``
+        and the instances among them."""
+        for _, row in fig13_df.iterrows():
+            spec = SPECS[row.dataset]
+            prefix = [e for e in _edges(row.dataset) if e[2] <= spec.span * row.fraction]
+            assert row.n_edges == len(prefix)
+            assert row.instances == count_graph(
+                prefix, MOTIFS[row.motif], spec.delta_default, spec.phi_default
+            )
 
     def test_checks_input_contract(self, spark, monkeypatch):
         def duplicated(kind, sf, seed):
@@ -199,7 +224,8 @@ class TestFig13:
 
         monkeypatch.setattr(ex, "generate", duplicated)
         with pytest.raises(ValueError, match=r"share a \(src, dst, t\)"):
-            ex.fig13_scalability(spark, sf=SF, fractions=(1.0,))
+            # a seed no other test loads, so that load's memo cannot answer
+            ex.fig13_scalability(spark, sf=SF, seed=903, fractions=(1.0,))
 
 
 class TestFig14:

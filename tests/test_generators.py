@@ -142,17 +142,6 @@ class TestPaperShape:
 
 
 class TestHelpers:
-    def test_time_prefix(self, kind):
-        pdf = gen.generate(kind, sf=0.3, seed=0)
-        half = gen.time_prefix(pdf, 0.5, kind)
-        assert len(half) < len(pdf)
-        assert (half.t <= gen.SPECS[kind].span * 0.5).all()
-
-    def test_time_prefix_full_keeps_most(self, kind):
-        pdf = gen.generate(kind, sf=0.3, seed=0)
-        # cascades may spill past the nominal span, so allow a small tail
-        assert len(gen.time_prefix(pdf, 1.0, kind)) >= 0.9 * len(pdf)
-
     def test_stats_keys(self, pdf):
         s = gen.stats(pdf)
         assert set(s) == {"n_nodes", "n_pairs", "n_edges", "avg_flow"}

@@ -12,6 +12,14 @@ from repro.core.instances import (
 )
 
 
+def edge_sets(inst, series):
+    """``inst``'s per-edge ``(t, f)`` sets within ``series``."""
+    return tuple(
+        tuple(zip(r.ts[s : e + 1], r.fs[s : e + 1]))
+        for r, (s, e) in zip(series, inst.ranges)
+    )
+
+
 class TestSeries:
     def test_sorts_by_time(self):
         s = Series([(5, 1.0), (1, 2.0), (3, 4.0)])
@@ -103,12 +111,12 @@ class TestTwoEdgeChain:
         series = [Series([(1, 1.0), (2, 2.0)]), Series([(1.5, 9.0), (3, 9.0)])]
         insts = enumerate_instances(series, delta=10, phi=2)
         assert len(insts) == 1
-        assert insts[0].edge_sets(series) == (((1, 1.0), (2, 2.0)), ((3, 9.0),))
+        assert edge_sets(insts[0], series) == (((1, 1.0), (2, 2.0)), ((3, 9.0),))
 
     def test_instances_partition_by_split_point(self):
         series = [Series([(1, 1.0), (3, 1.0)]), Series([(2, 1.0), (4, 1.0)])]
         insts = enumerate_instances(series, delta=10, phi=0)
-        sets = {i.edge_sets(series) for i in insts}
+        sets = {edge_sets(i, series) for i in insts}
         assert sets == {
             (((1, 1.0),), ((2, 1.0), (4, 1.0))),
             (((1, 1.0), (3, 1.0)), ((4, 1.0),)),

@@ -12,6 +12,7 @@ from repro.core.instances import Series, enumerate_instances
 from repro.core.motif import MOTIFS
 from repro.core.search import count_graph, search_graph, topk_graph
 from repro.core.topk import TopKHeap, topk_scan_match
+from tests.test_instances import edge_sets
 
 # --- Figure 7: structural match of M(3,3) with series (prose of § 4) -----
 FIG7 = [
@@ -22,21 +23,17 @@ FIG7 = [
 DELTA7 = 10
 
 
-def _edge_sets(inst):
-    return inst.edge_sets(FIG7)
-
-
 class TestFigure7:
     def test_prose_instance_1_is_found(self):
         # [e1 <- {(10,5)}, e2 <- {(11,3)}, e3 <- {(14,4),(19,6)}]
         insts = enumerate_instances(FIG7, DELTA7, phi=0)
-        sets = {inst.edge_sets(FIG7) for inst in insts}
+        sets = {edge_sets(inst, FIG7) for inst in insts}
         assert (((10, 5),), ((11, 3),), ((14, 4), (19, 6))) in sets
 
     def test_prose_instance_2_is_found(self):
         # [e1 <- {(10,5)}, e2 <- {(11,3),(16,3)}, e3 <- {(19,6)}]
         insts = enumerate_instances(FIG7, DELTA7, phi=0)
-        sets = {inst.edge_sets(FIG7) for inst in insts}
+        sets = {edge_sets(inst, FIG7) for inst in insts}
         assert (((10, 5),), ((11, 3), (16, 3)), ((19, 6),)) in sets
 
     def test_flows_of_prose_instances(self):
@@ -44,7 +41,7 @@ class TestFigure7:
         # (paper text swaps them relative to listing order: instance with
         # e3 <- both elements has flow 3; with e2 <- both has flow 5).
         by_sets = {
-            inst.edge_sets(FIG7): inst.flow
+            edge_sets(inst, FIG7): inst.flow
             for inst in enumerate_instances(FIG7, DELTA7, phi=0)
         }
         assert by_sets[(((10, 5),), ((11, 3),), ((14, 4), (19, 6)))] == 3
@@ -54,7 +51,7 @@ class TestFigure7:
         # "the latter instance would be rejected for phi = 5"
         insts = enumerate_instances(FIG7, DELTA7, phi=5)
         assert all(inst.flow >= 5 for inst in insts)
-        sets = {inst.edge_sets(FIG7) for inst in insts}
+        sets = {edge_sets(inst, FIG7) for inst in insts}
         assert (((10, 5),), ((11, 3),), ((14, 4), (19, 6))) not in sets
         assert (((10, 5),), ((11, 3), (16, 3)), ((19, 6),)) in sets
 
@@ -63,13 +60,13 @@ class TestFigure7:
         # of e1 but not the third" — such a candidate is non-maximal
         # because (15,3) can always be added.
         for inst in enumerate_instances(FIG7, DELTA7, phi=0):
-            e1 = _edge_sets(inst)[0]
+            e1 = edge_sets(inst, FIG7)[0]
             assert e1 != ((10, 5), (13, 2))
 
     def test_all_maximal_instances(self):
         # Full maximal set for delta=10, phi=0 (hand-derived; brute-force
         # cross-checked in test_bruteforce_crosscheck).
-        sets = {inst.edge_sets(FIG7) for inst in enumerate_instances(FIG7, DELTA7, 0)}
+        sets = {edge_sets(inst, FIG7) for inst in enumerate_instances(FIG7, DELTA7, 0)}
         assert sets == {
             (((10, 5),), ((11, 3),), ((14, 4), (19, 6))),
             (((10, 5),), ((11, 3), (16, 3)), ((19, 6),)),
@@ -107,7 +104,7 @@ class TestFigure4:
         # u3, u1, u2 mapped to the first, second, third motif node
         assert match == ("u3", "u1", "u2")
         series = [Series([(10, 10)]), Series([(13, 5), (15, 7)]), Series([(18, 20)])]
-        assert inst.edge_sets(series) == (
+        assert edge_sets(inst, series) == (
             ((10, 10),),
             ((13, 5), (15, 7)),
             ((18, 20),),
@@ -122,7 +119,7 @@ class TestFigure4:
         results = search_graph(FIG2_EDGES, MOTIFS["M(3,3)"], delta=10, phi=7)
         series = [Series([(10, 10)]), Series([(13, 5), (15, 7)]), Series([(18, 20)])]
         for _, inst in results:
-            assert inst.edge_sets(series)[1] != ((15, 7),)
+            assert edge_sets(inst, series)[1] != ((15, 7),)
 
     def test_phi_above_min_aggregate_kills_instance(self):
         # Instance flow is 10 -> phi=11 leaves nothing.
@@ -149,7 +146,7 @@ class TestFigure1:
         assert match == ("u1", "u2", "u3")
         series = [Series([(2, 5)]), Series([(4, 3), (5, 5)])]
         # both u2->u3 edges instantiate e2; aggregated flow 8 >= phi
-        assert inst.edge_sets(series) == (((2, 5),), ((4, 3), (5, 5)))
+        assert edge_sets(inst, series) == (((2, 5),), ((4, 3), (5, 5)))
         assert inst.flow == 5  # min(5, 8)
         assert inst.t_end - inst.t_start == 3  # "5 - 2 = 3 <= delta"
 
