@@ -75,7 +75,8 @@ def timeseries_graph(edges: DataFrame) -> DataFrame:
     ``edges`` builds G_T in one partition per core (``defaultParallelism``;
     most of the group-by's shuffle partitions would be near-empty) and
     caches it, filled by its first action; every later call returns that
-    frame. It is unpersisted when ``edges`` is garbage-collected. An
+    frame. It is unpersisted when ``edges`` is garbage-collected while its
+    SparkContext runs. An
     uncached ``edges`` (e.g. an ad-hoc or permuted frame) gets G_T built
     inside each query's plan, and nothing is cached. Spark caches by plan,
     so frames with equal plans share one cache entry: freeing the stored
@@ -95,8 +96,16 @@ def timeseries_graph(edges: DataFrame) -> DataFrame:
         parts = edges.sparkSession.sparkContext.defaultParallelism
         gt = gt.repartition(parts).cache()
         _STORED_GT[edges] = gt
-        weakref.finalize(edges, gt.unpersist).atexit = False
+        weakref.finalize(edges, _unpersist_unless_stopped, gt).atexit = False
     return gt
+
+
+def _unpersist_unless_stopped(gt: DataFrame) -> None:
+    """Free a stored G_T, unless its SparkContext has stopped: stopping
+    freed every cache already and closed the JVM gateway, so ``unpersist``
+    would fail."""
+    if gt.sparkSession.sparkContext._jsc is not None:
+        gt.unpersist()
 
 
 def distinct_pairs(edges: DataFrame) -> DataFrame:

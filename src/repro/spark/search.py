@@ -23,6 +23,8 @@ plain Catalyst plan.
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Callable, Iterable, Iterator, Sequence
 
 import pandas as pd
@@ -79,6 +81,22 @@ def parse_match(row: Sequence, motif: Motif) -> _Match:
     return tuple(row[:n]), [Series(zip(t, f)) for t, f in zip(row[n::2], row[n + 1 :: 2])]
 
 
+def drop_zip_finders() -> None:
+    """Delete every zip-archive finder from ``sys.path_importer_cache``.
+
+    A PySpark worker calls ``importlib.invalidate_caches()`` at the start of
+    every task, and before CPython 3.13 each cached ``zipimporter`` then
+    re-reads its whole archive directory: about 0.25 s of CPU a task for the
+    pyspark, py4j and Spark jar entries of a worker's ``sys.path``. Deleting
+    an entry is the documented way to drop a cached finder; imported modules
+    stay in ``sys.modules``, and a later import from an archive rebuilds its
+    finder from ``zipimport``'s own directory cache.
+    """
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
+
+
 def p2(
     edges: DataFrame,
     motif: Motif,
@@ -89,11 +107,16 @@ def p2(
     """The P2 driver: ``per_batch`` maps one Arrow batch's matches to rows.
 
     The input is :func:`matches_with_series` pruned by ``delta``; each match
-    reaches ``per_batch`` once parsed by :func:`parse_match`.
+    reaches ``per_batch`` once parsed by :func:`parse_match`. Each batch
+    first drops its worker's zip finders (:func:`drop_zip_finders`), so the
+    worker's next task does not re-read Spark's archives; not before the
+    first batch, because fetching it imports modules on a fresh worker,
+    which caches those finders again.
     """
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
+            drop_zip_finders()
             matches = (
                 parse_match(row, motif) for row in pdf.itertuples(index=False, name=None)
             )

@@ -17,7 +17,8 @@ G_T like every other query, and collects its rows. The driver holds one
 (n, R + 1) flow matrix for n interactions, column 0 the real flows and
 column r the r-th permutation, with its rows ordered by ``(src, dst, t)`` as
 G_T orders each pair's series; each instance's edge-set is then a run of
-rows, which the driver left-folds over all columns at once.
+rows, found by one index lookup per motif edge for all instances, and the
+driver left-folds every run over all columns at once.
 """
 from __future__ import annotations
 
@@ -71,6 +72,18 @@ def permute_flows(edges: DataFrame, seed: int) -> DataFrame:
     return edges.sparkSession.createDataFrame(pdf, schema=schema)
 
 
+def _run_sums(flows: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Row j is the left fold of ``flows[start[j] : start[j] + length[j]]``
+    from 0.0: the same additions, in the same order, as ``Series.range_sum``
+    makes on each column. The fold runs over run offsets, adding offset o to
+    every run longer than o at once."""
+    acc = np.zeros((len(start), flows.shape[1]))
+    for o in range(length.max(initial=0)):
+        live = length > o
+        acc[live] += flows[start[live] + o]
+    return acc
+
+
 @dataclass(frozen=True)
 class SignificanceResult:
     """Fig. 14 cell for one (dataset, motif) pair."""
@@ -114,17 +127,20 @@ def significance(
     seeds = [seed * 1000 + r for r in range(n_random)]
     by_pair = pdf.sort_values(["src", "dst", "t"])
     flows = np.column_stack([f, _permuted_flows(f, seeds)])[by_pair.index]
-    row = {key: i for i, key in enumerate(zip(by_pair.src, by_pair.dst, by_pair.t))}
-    totals = np.zeros(n_random + 1, dtype=np.int64)
-    for inst in find_instances(edges, motif, delta, 0.0).collect():
-        ok = np.ones(n_random + 1, dtype=bool)
-        for i, (a, b) in enumerate(motif.edges):
-            u, v = inst[f"v{a}"], inst[f"v{b}"]
-            acc = np.zeros(n_random + 1)
-            for fs in flows[row[u, v, inst[f"ts{i}"]] : row[u, v, inst[f"te{i}"]] + 1]:
-                acc += fs
-            ok &= acc >= phi
-        totals += ok
+    rows = pd.MultiIndex.from_frame(by_pair[["src", "dst", "t"]])
+    inst = find_instances(edges, motif, delta, 0.0).toPandas()
+    ok = np.ones((len(inst), n_random + 1), dtype=bool)
+    for i, (a, b) in enumerate(motif.edges):
+        start, end = (
+            rows.get_indexer(pd.MultiIndex.from_arrays([inst[f"v{a}"], inst[f"v{b}"], inst[t]]))
+            for t in (f"ts{i}", f"te{i}")
+        )
+        if (start < 0).any() or (end < 0).any():
+            raise RuntimeError(
+                f"an instance's edge-set {i} is not a run of the collected interactions"
+            )
+        ok &= _run_sums(flows, start, end - start + 1) >= phi
+    totals = ok.sum(axis=0)
     real, counts = int(totals[0]), totals[1:].tolist()
     mu = float(np.mean(counts))
     sigma = float(np.std(counts))

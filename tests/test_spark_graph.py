@@ -1,6 +1,7 @@
 """Spark graph layer: time-series graph construction and Table 3 stats."""
 import gc
 import itertools
+from types import SimpleNamespace
 
 import pandas as pd
 import pytest
@@ -134,21 +135,38 @@ class TestStoredTimeseriesGraph:
         significance(edges, MOTIFS["M(3,2)"], 10.0, 1.0, n_random=2)
         assert len(inputs) == 1 and inputs[0] is edges
 
+    @staticmethod
+    def persistent_rdds(spark):
+        return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
     def test_stored_gt_freed_with_its_network(self, spark):
-        sc = spark.sparkContext
-
-        def persistent_rdds():
-            return set(sc._jsc.getPersistentRDDs().keySet())
-
         edges = self.cached_network(spark)
-        before = persistent_rdds()
+        before = self.persistent_rdds(spark)
         timeseries_graph(edges).count()
-        stored = persistent_rdds() - before
+        stored = self.persistent_rdds(spark) - before
         assert len(stored) == 1
         edges.unpersist()
         del edges
         gc.collect()
-        assert not stored & persistent_rdds()
+        assert not stored & self.persistent_rdds(spark)
+
+    def test_stored_gt_left_alone_once_its_context_stopped(self, spark, monkeypatch):
+        """A network collected after its SparkContext stopped calls no
+        ``unpersist``, which would fail on the closed JVM gateway. A stub
+        session stands in for the stopped one, so the shared session runs
+        on and shows that nothing was unpersisted."""
+        edges = self.cached_network(spark)
+        before = self.persistent_rdds(spark)
+        gt = timeseries_graph(edges)
+        gt.count()
+        stored = self.persistent_rdds(spark) - before
+        stopped = SimpleNamespace(sparkContext=SimpleNamespace(_jsc=None))
+        with monkeypatch.context() as m:
+            m.setattr(gt, "_session", stopped)
+            del edges
+            gc.collect()
+        assert stored and stored <= self.persistent_rdds(spark)
+        gt.unpersist()
 
 
 class TestCheckInteractions:

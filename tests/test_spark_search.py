@@ -1,5 +1,8 @@
 """Distributed two-phase pipeline vs the pure-Python reference, end-to-end."""
 import random
+import sys
+import zipfile
+import zipimport
 
 import pandas as pd
 import pytest
@@ -14,6 +17,7 @@ from repro.spark.graph import check_interactions, distinct_pairs
 from repro.spark.join_baseline import count_instances_join, find_instances_join
 from repro.spark.significance import significance
 from repro.spark.structural import structural_matches_df
+from pyspark.sql.types import LongType, StructField, StructType
 from tests.conftest import (
     instance_rows,
     py_instance_rows,
@@ -285,6 +289,52 @@ class TestNonFiniteParameters:
     def test_core_rejected(self, query, x):
         with pytest.raises(ValueError, match=f"{x!r} is not finite"):
             query(x)
+
+
+def _zip_finders(paths=None) -> int:
+    """The number of ``zipimporter`` finders in ``sys.path_importer_cache``
+    (only those keyed under ``paths``, if given)."""
+    return sum(
+        isinstance(finder, zipimport.zipimporter) and (paths is None or key in paths)
+        for key, finder in sys.path_importer_cache.items()
+    )
+
+
+class TestDropZipFinders:
+    """Each P2 task drops its worker's zip finders, so the worker's next task
+    does not re-read Spark's archives in ``importlib.invalidate_caches()``."""
+
+    def test_worker_holds_no_zip_finder_in_the_kernel(self, spark):
+        def per_batch(matches):
+            return [(_zip_finders(),)]
+
+        edges = to_spark_edges(spark, random_edges(3, n_nodes=6, n_edges=60))
+        schema = StructType([StructField("n", LongType())])
+        for _ in range(2):  # the second round runs on reused workers
+            rows = sp.p2(edges, MOTIFS["M(3,2)"], 10.0, per_batch, schema).collect()
+            assert rows and all(r.n == 0 for r in rows)
+
+    def test_archive_still_imports_after_drop(self, tmp_path, monkeypatch):
+        archive = tmp_path / "probe.zip"
+        with zipfile.ZipFile(archive, "w") as z:
+            z.writestr("zipfinder_probe/__init__.py", "")
+            z.writestr("zipfinder_probe/first.py", "X = 1\n")
+            z.writestr("zipfinder_probe/second.py", "Y = 2\n")
+        paths = {str(archive), str(archive / "zipfinder_probe")}
+        monkeypatch.syspath_prepend(str(archive))
+        try:
+            from zipfinder_probe import first
+
+            assert first.X == 1 and _zip_finders(paths) > 0
+            sp.drop_zip_finders()
+            assert _zip_finders(paths) == 0
+            from zipfinder_probe import second
+
+            assert second.Y == 2
+        finally:
+            for name in ("zipfinder_probe", "zipfinder_probe.first", "zipfinder_probe.second"):
+                sys.modules.pop(name, None)
+            sp.drop_zip_finders()
 
 
 class TestPhase1Helper:

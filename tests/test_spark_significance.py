@@ -122,6 +122,30 @@ class TestSignificance:
         assert res.real_count == res.mean
         assert res.z_score == 0.0
 
+    def test_no_instances_counts_zero(self, spark):
+        edges = to_spark_edges(spark, self._coherent_graph())
+        res = significance(
+            edges, MOTIFS["M(3,2)"], delta=0.5, phi=1.0, n_random=3, seed=0
+        )
+        assert (res.real_count, res.random_counts) == (0, (0, 0, 0))
+        assert res.z_score == 0.0
+
+    def test_edge_set_off_the_interactions_rejected(self, spark, monkeypatch):
+        """An instance whose edge-set bounds are not interactions of the
+        collected network has no run of flows to fold."""
+        from pyspark.sql import functions as F
+
+        from repro.spark import significance as sig
+
+        monkeypatch.setattr(
+            sig,
+            "find_instances",
+            lambda *args: sp.find_instances(*args).withColumn("te1", F.col("te1") + 0.5),
+        )
+        edges = to_spark_edges(spark, self._coherent_graph())
+        with pytest.raises(RuntimeError, match="edge-set 1 is not a run"):
+            significance(edges, MOTIFS["M(3,2)"], delta=10.0, phi=9.0, n_random=2)
+
     def test_generated_dataset_significant(self, passenger_small):
         """Fig. 14's headline: real counts exceed randomized counts on the
         (cascade-bearing) generated networks."""
@@ -226,6 +250,24 @@ class TestSinglePassExact:
             assert significance(*args, n_random=2) == with_arrow
         finally:
             spark.conf.set(key, "true")
+
+
+def test_run_sums_fold_like_range_sum():
+    """Each run's sum, in each column, is ``Series.range_sum``'s left fold
+    bit for bit, runs of every length side by side."""
+    import numpy as np
+
+    from repro.core.instances import Series
+    from repro.spark.significance import _run_sums
+
+    flows = np.random.default_rng(5).lognormal(size=(30, 4)).round(4)
+    start = np.array([0, 3, 3, 10, 29, 7])
+    length = np.array([1, 5, 2, 20, 1, 13])
+    got = _run_sums(flows, start, length)
+    for j, (s, n) in enumerate(zip(start, length)):
+        for c in range(flows.shape[1]):
+            series = Series((float(t), float(x)) for t, x in enumerate(flows[:, c]))
+            assert got[j, c] == series.range_sum(s, s + n - 1)
 
 
 def test_one_plan_for_any_n_random(spark, passenger_small, monkeypatch):
