@@ -76,12 +76,11 @@ def timeseries_graph(edges: DataFrame) -> DataFrame:
     most of the group-by's shuffle partitions would be near-empty) and
     caches it, filled by its first action; every later call returns that
     frame. It is unpersisted when ``edges`` is garbage-collected while its
-    SparkContext runs. An
-    uncached ``edges`` (e.g. an ad-hoc or permuted frame) gets G_T built
-    inside each query's plan, and nothing is cached. Spark caches by plan,
-    so frames with equal plans share one cache entry: freeing the stored
-    G_T of one frees it for the other, as unpersisting one frees their
-    interactions.
+    SparkContext runs. An uncached ``edges`` (e.g. an ad-hoc or permuted
+    frame) gets G_T built inside each query's plan, and nothing is cached.
+    Spark caches by plan, so frames with equal plans share one cache entry:
+    freeing the stored G_T of one frees it for the other, as unpersisting
+    one frees their interactions.
     """
     gt = _STORED_GT.get(edges)
     if gt is not None:

@@ -6,6 +6,7 @@ import zipimport
 
 import pandas as pd
 import pytest
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.core import bruteforce
 from repro.core.dp import max_flow as dp_max_flow
@@ -17,7 +18,6 @@ from repro.spark.graph import check_interactions, distinct_pairs
 from repro.spark.join_baseline import count_instances_join, find_instances_join
 from repro.spark.significance import significance
 from repro.spark.structural import structural_matches_df
-from pyspark.sql.types import LongType, StructField, StructType
 from tests.conftest import (
     instance_rows,
     py_instance_rows,
